@@ -396,15 +396,15 @@ def decompose(dotted: str) -> list[MarkedChar]:
     return chars
 
 
-def marks_of(c: MarkedChar) -> str:
-    """Mark string for one character in canonical order: dagesh, sin dot, niqqud."""
+def marks_of(niqqud: int, dagesh: int, sin: int) -> str:
+    """Marks for one letter's labels in canonical order: dagesh, sin dot, niqqud."""
     parts = []
-    if c.dagesh != Dagesh.NONE:
+    if dagesh != Dagesh.NONE:
         parts.append(DAGESH_CHAR)
-    if c.sin != Sin.NONE:
-        parts.append(_SIN_CHARS[c.sin])
-    if c.niqqud != Niqqud.NONE:
-        parts.append(_NIQQUD_CHARS[c.niqqud])
+    if sin != Sin.NONE:
+        parts.append(_SIN_CHARS[sin])
+    if niqqud != Niqqud.NONE:
+        parts.append(_NIQQUD_CHARS[niqqud])
     return "".join(parts)
 
 
@@ -419,7 +419,7 @@ def compose(chars: Iterable[MarkedChar]) -> str:
         if problem is not None:
             raise InvariantViolation(f"position {i}: {problem}")
         parts.append(c.letter)
-        parts.append(marks_of(c))
+        parts.append(marks_of(c.niqqud, c.dagesh, c.sin))
     return "".join(parts)
 
 

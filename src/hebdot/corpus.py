@@ -5,7 +5,9 @@ A corpus lives on disk as ``<root>/<split>/**/*.txt`` with splits
 UTF-8, normalized to the model alphabet, and repaired where the source data
 carries marks that break the label invariants (noisy scans do).  Everything
 downstream works on :class:`Document` values, so loading order and repairs
-are decided here, once.
+are decided here, once.  A document is columnar: its letter stream plus one
+int8 array of codec label values per category, built once at load by
+:meth:`Document.from_chars`; encoding and scoring slice those arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,13 +30,16 @@ from .codec import (
     LATIN_SYMBOL,
     NIQQUD_CAPABLE,
     PUNCT_WHITELIST,
-    CharClass,
+    SHIN,
+    _MARK_CLASSES,
+    Dagesh,
     MarkedChar,
+    Niqqud,
+    Sin,
     char_class,
     compose,
     decompose,
     drop_invalid_marks,
-    is_shin,
     normalize,
     validate,
 )
@@ -52,6 +58,8 @@ __all__ = [
     "hebrew_token_count",
     "token_spans",
     "chunk_spans",
+    "letter_mask",
+    "decision_masks",
     "encode_document",
     "make_batches",
     "split_stats",
@@ -63,32 +71,54 @@ SPLITS = ("premodern", "modern", "validation", "test")
 
 MAX_CHUNK_LEN = 80
 
-_MARK_CLASSES = (
-    CharClass.NIQQUD_MARK,
-    CharClass.DAGESH_MARK,
-    CharClass.SIN_SHIN_MARK,
-    CharClass.DROPPED_MARK,
-)
+CATEGORIES = ("niqqud", "dagesh", "sin")
 
 
 class EmptyCorpus(Exception):
     """A corpus directory yielded no usable documents."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
-    """One loaded text: id (relative path without suffix), split it came
-    from, the per-character label sequence, and the canonical dotted text
-    recomposed from it."""
+    """One loaded text: id (relative path without suffix), the split it came
+    from, its letter stream, and ``labels``: per category of CATEGORIES an
+    int8 array of codec label values, one per letter, shared and read-only.
+    ``chars`` and ``text`` are views derived from the arrays on first use."""
 
     id: str
     source: str
-    chars: tuple[MarkedChar, ...]
-    text: str
+    letters: str
+    labels: dict[str, np.ndarray]
 
-    @property
-    def letters(self) -> str:
-        return "".join(c.letter for c in self.chars)
+    def __post_init__(self) -> None:
+        n = len(self.letters)
+        if any(self.labels[k].shape != (n,) for k in CATEGORIES):
+            raise ValueError(f"{self.id}: label arrays must match the letters")
+
+    @classmethod
+    def from_chars(
+        cls, id: str, source: str, chars: Iterable[MarkedChar]
+    ) -> "Document":
+        """Columnar document from a per-letter label sequence."""
+        chars = tuple(chars)
+        labels = {
+            k: np.array([getattr(c, k) for c in chars], np.int8) for k in CATEGORIES
+        }
+        return cls(id, source, "".join(c.letter for c in chars), labels)
+
+    @cached_property
+    def chars(self) -> tuple[MarkedChar, ...]:
+        """One MarkedChar per letter."""
+        niq, dag, sin = (self.labels[k].tolist() for k in CATEGORIES)
+        return tuple(
+            MarkedChar(ch, Niqqud(n), Dagesh(d), Sin(s))
+            for ch, n, d, s in zip(self.letters, niq, dag, sin)
+        )
+
+    @cached_property
+    def text(self) -> str:
+        """The canonical dotted text."""
+        return compose(self.chars)
 
 
 def _from_normalized(norm: str, doc_id: str, source: str) -> Document | None:
@@ -111,7 +141,7 @@ def _from_normalized(norm: str, doc_id: str, source: str) -> Document | None:
             problems[0][1],
         )
         chars = drop_invalid_marks(chars)
-    return Document(id=doc_id, source=source, chars=tuple(chars), text=compose(chars))
+    return Document.from_chars(doc_id, source, chars)
 
 
 def load_file(path: Path, doc_id: str, source: str) -> Document | None:
@@ -210,6 +240,9 @@ class Vocabulary:
             + list(HEBREW_LETTERS)
             + list(extra)
         )
+        self._index(alphabet)
+
+    def _index(self, alphabet: list[str]) -> None:
         self.id_to_char: list[str | None] = [None, None] + alphabet
         self.char_to_id: dict[str, int] = {
             ch: i + 2 for i, ch in enumerate(alphabet)
@@ -237,9 +270,7 @@ class Vocabulary:
     @classmethod
     def from_json(cls, data: dict) -> "Vocabulary":
         vocab = cls.__new__(cls)
-        alphabet = list(data["alphabet"])
-        vocab.id_to_char = [None, None] + alphabet
-        vocab.char_to_id = {ch: i + 2 for i, ch in enumerate(alphabet)}
+        vocab._index(list(data["alphabet"]))
         return vocab
 
 
@@ -263,7 +294,25 @@ class Chunk:
         return int(self.letter_ids.shape[0])
 
 
-CATEGORIES = ("niqqud", "dagesh", "sin")
+def letter_mask(letters: str, chars: Iterable[str]) -> np.ndarray:
+    """Bool array, True where the letter is one of ``chars``."""
+    codes = np.frombuffer(letters.encode("utf-32-le"), dtype="<u4")
+    return np.isin(codes, [ord(ch) for ch in chars])
+
+
+def decision_masks(
+    letters: str,
+    dagesh_capable: frozenset[str] = DAGESH_CAPABLE,
+    niqqud_capable: frozenset[str] = NIQQUD_CAPABLE,
+) -> dict[str, np.ndarray]:
+    """Per category, a bool array that is True exactly where the letter
+    admits that decision: niqqud on niqqud-capable letters, dagesh on
+    dagesh-capable ones, the shin/sin dot on shin alone."""
+    return {
+        "niqqud": letter_mask(letters, niqqud_capable),
+        "dagesh": letter_mask(letters, dagesh_capable),
+        "sin": letter_mask(letters, SHIN),
+    }
 
 
 def encode_document(
@@ -275,16 +324,7 @@ def encode_document(
 ) -> list[Chunk]:
     """Chunk and encode one document into model inputs and training targets."""
     letters = doc.letters
-    niq = np.fromiter((c.niqqud for c in doc.chars), dtype=np.int8, count=len(letters))
-    dag = np.fromiter((c.dagesh for c in doc.chars), dtype=np.int8, count=len(letters))
-    sin = np.fromiter((c.sin for c in doc.chars), dtype=np.int8, count=len(letters))
-    m_niq = np.fromiter(
-        (ch in niqqud_capable for ch in letters), dtype=bool, count=len(letters)
-    )
-    m_dag = np.fromiter(
-        (ch in dagesh_capable for ch in letters), dtype=bool, count=len(letters)
-    )
-    m_sin = np.fromiter((is_shin(ch) for ch in letters), dtype=bool, count=len(letters))
+    masks = decision_masks(letters, dagesh_capable, niqqud_capable)
 
     chunks = []
     for start, end in chunk_spans(letters, max_len):
@@ -302,16 +342,8 @@ def encode_document(
                 doc_id=doc.id,
                 offset=start,
                 letter_ids=vocab.encode(letters[start:end]),
-                golds={
-                    "niqqud": niq[start:end],
-                    "dagesh": dag[start:end],
-                    "sin": sin[start:end],
-                },
-                masks={
-                    "niqqud": m_niq[start:end],
-                    "dagesh": m_dag[start:end],
-                    "sin": m_sin[start:end],
-                },
+                golds={k: doc.labels[k][start:end] for k in CATEGORIES},
+                masks={k: masks[k][start:end] for k in CATEGORIES},
             )
         )
     return chunks
@@ -393,9 +425,8 @@ def split_stats(docs: Iterable[Document]) -> SplitStats:
         letters = doc.letters
         n_tokens += hebrew_token_count(letters)
         n_chars += len(letters)
-        decisions["niqqud"] += sum(ch in NIQQUD_CAPABLE for ch in letters)
-        decisions["dagesh"] += sum(ch in DAGESH_CAPABLE for ch in letters)
-        decisions["sin"] += sum(is_shin(ch) for ch in letters)
+        for k, mask in decision_masks(letters).items():
+            decisions[k] += int(mask.sum())
     return SplitStats(
         documents=n_docs, tokens=n_tokens, chars=n_chars, decisions=decisions
     )

@@ -16,25 +16,20 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import codec
-from .codec import Dagesh, MarkedChar, Niqqud, Sin, marks_of, strip_diacritics
+from .codec import marks_of, strip_diacritics
 from .corpus import (
+    CATEGORIES,
     MAX_CHUNK_LEN,
     Batch,
     Document,
     Vocabulary,
+    decision_masks,
     encode_document,
     make_batches,
 )
 from .network import Checkpoint, ModelConfig, forward, load_checkpoint
 
 __all__ = ["AlignmentMap", "Dotter", "decode_labels"]
-
-_MARK_CLASSES = (
-    codec.CharClass.NIQQUD_MARK,
-    codec.CharClass.DAGESH_MARK,
-    codec.CharClass.SIN_SHIN_MARK,
-    codec.CharClass.DROPPED_MARK,
-)
 
 
 @dataclass(frozen=True)
@@ -91,41 +86,26 @@ class Dotter:
     def load(cls, path: Path | str, batch_size: int = 64) -> "Dotter":
         return cls(load_checkpoint(path), batch_size=batch_size)
 
-    def _label(self, letters: str) -> list[MarkedChar]:
-        """Predict marks for a bare letter stream (no diacritics inside)."""
-        doc = Document(
-            id="<input>",
-            source="input",
-            chars=tuple(MarkedChar(letter=ch) for ch in letters),
-            text=letters,
-        )
+    def _label(self, letters: str) -> dict[str, np.ndarray]:
+        """Predict label arrays for a bare letter stream (no diacritics
+        inside); letters outside every chunk keep the null label."""
+        blank = {k: np.zeros(len(letters), dtype=np.int8) for k in CATEGORIES}
+        labels = {k: np.zeros(len(letters), dtype=np.int8) for k in CATEGORIES}
         chunks = encode_document(
-            doc,
+            Document(id="<input>", source="input", letters=letters, labels=blank),
             self.vocab,
             max_len=MAX_CHUNK_LEN,
             dagesh_capable=self.dagesh_capable,
             niqqud_capable=self.niqqud_capable,
         )
-        niq = np.zeros(len(letters), dtype=np.int8)
-        dag = np.zeros(len(letters), dtype=np.int8)
-        sin = np.zeros(len(letters), dtype=np.int8)
         for batch in make_batches(chunks, self.batch_size, seed=None):
-            labels = self._decode_batch(batch)
+            decoded = self._decode_batch(batch)
             for row in range(batch.size):
                 n = int(batch.lengths[row])
                 at = batch.offsets[row]
-                niq[at : at + n] = labels["niqqud"][row, :n]
-                dag[at : at + n] = labels["dagesh"][row, :n]
-                sin[at : at + n] = labels["sin"][row, :n]
-        return [
-            MarkedChar(
-                letter=ch,
-                niqqud=Niqqud(int(niq[i])),
-                dagesh=Dagesh(int(dag[i])),
-                sin=Sin(int(sin[i])),
-            )
-            for i, ch in enumerate(letters)
-        ]
+                for k in CATEGORIES:
+                    labels[k][at : at + n] = decoded[k][row, :n]
+        return labels
 
     def _decode_batch(self, batch: Batch) -> dict[str, np.ndarray]:
         logits, _ = forward(
@@ -143,32 +123,22 @@ class Dotter:
         anything else) are preserved untouched in place.
         """
         stripped = strip_diacritics(text)
-        raw_of_stripped = [
-            i for i, ch in enumerate(text) if codec.char_class(ch) not in _MARK_CLASSES
-        ]
         norm, alignment = AlignmentMap.build(stripped)
         if not any(codec.is_hebrew_letter(ch) for ch in norm):
             return stripped
-        predicted = self._label(norm)
+        labels = self._label(norm)
         if keep_existing:
-            predicted = _apply_overrides(predicted, text)
-
-        marks_after: dict[int, str] = {}
-        for pos, mc in enumerate(predicted):
-            mark = marks_of(mc)
-            if not mark:
-                continue
-            start, _ = alignment.spans[pos]
-            marks_after[raw_of_stripped[start]] = mark
+            labels = _apply_overrides(labels, norm, text)
 
         out: list[str] = []
-        for i, ch in enumerate(text):
-            if codec.char_class(ch) in _MARK_CLASSES:
-                continue
-            out.append(ch)
-            mark = marks_after.get(i)
-            if mark is not None:
-                out.append(mark)
+        done = 0
+        marks = map(marks_of, *(labels[k].tolist() for k in CATEGORIES))
+        for pos, mark in enumerate(marks):
+            if mark:
+                end = alignment.spans[pos][1]
+                out += (stripped[done:end], mark)
+                done = end
+        out.append(stripped[done:])
         return "".join(out)
 
     def dot_stream(self, lines: Iterable[str]) -> Iterator[str]:
@@ -178,31 +148,23 @@ class Dotter:
 
     def dot_document(self, doc: Document) -> Document:
         """Re-dot a loaded document, keeping its id; for evaluation runs."""
-        predicted = self._label(doc.letters)
-        return Document(
-            id=doc.id,
-            source="dotted",
-            chars=tuple(predicted),
-            text=codec.compose(predicted),
-        )
+        return Document(doc.id, "dotted", doc.letters, self._label(doc.letters))
 
 
-def _apply_overrides(predicted: list[MarkedChar], raw: str) -> list[MarkedChar]:
-    """Replace predictions with input marks wherever the input had any."""
+def _apply_overrides(
+    predicted: dict[str, np.ndarray], letters: str, raw: str
+) -> dict[str, np.ndarray]:
+    """Replace predictions with input marks wherever the input had any, then
+    drop every mark the codec's invariants reject."""
     existing = codec.decompose(codec.normalize(raw))
-    if len(existing) != len(predicted):
+    if len(existing) != len(letters):
         # normalization of the marked and stripped text must agree on letters
         raise codec.InvariantViolation(
             "input marks do not align with the letter stream"
         )
-    merged = []
-    for have, pred in zip(existing, predicted):
-        merged.append(
-            MarkedChar(
-                letter=pred.letter,
-                niqqud=have.niqqud if have.niqqud != Niqqud.NONE else pred.niqqud,
-                dagesh=have.dagesh if have.dagesh != Dagesh.NONE else pred.dagesh,
-                sin=have.sin if have.sin != Sin.NONE else pred.sin,
-            )
-        )
-    return codec.drop_invalid_marks(merged)
+    have = Document.from_chars("<input>", "input", existing).labels
+    merged = {k: np.where(have[k] != 0, have[k], predicted[k]) for k in CATEGORIES}
+    # With the codec's own capability sets, the decision masks are exactly
+    # where validate() accepts a mark.
+    legal = decision_masks(letters)
+    return {k: np.where(legal[k], merged[k], np.int8(0)) for k in CATEGORIES}

@@ -15,15 +15,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .codec import (
-    MarkedChar,
-    can_dagesh,
-    can_niqqud,
-    is_hebrew_letter,
-    is_shin,
-    vocalization_signature,
-)
-from .corpus import Document, token_spans
+import numpy as np
+
+from .codec import BKP_LETTERS, _VOWEL_CLASS, MarkedChar, Niqqud, VowelClass
+from .corpus import Document, decision_masks, letter_mask, token_spans
 
 __all__ = [
     "LetterStreamMismatch",
@@ -65,8 +60,8 @@ class Counts:
         return self.correct / self.total
 
 
-def align(gold: Document, pred: Document) -> list[tuple[MarkedChar, MarkedChar]]:
-    """Pair up characters, or pinpoint where the letter streams diverge."""
+def _check_letters(gold: Document, pred: Document) -> None:
+    """Raise LetterStreamMismatch at the first position where they diverge."""
     a, b = gold.letters, pred.letters
     if a != b:
         limit = min(len(a), len(b))
@@ -77,71 +72,33 @@ def align(gold: Document, pred: Document) -> list[tuple[MarkedChar, MarkedChar]]
             f"{gold.id}: letter streams diverge at position {at}: "
             f"gold {ga!r} vs prediction {pb!r}"
         )
+
+
+def align(gold: Document, pred: Document) -> list[tuple[MarkedChar, MarkedChar]]:
+    """Pair up characters, or pinpoint where the letter streams diverge."""
+    _check_letters(gold, pred)
     return list(zip(gold.chars, pred.chars))
-
-
-def _decisions(g: MarkedChar, p: MarkedChar) -> list[bool]:
-    """Outcome of each decision slot the letter admits."""
-    if not is_hebrew_letter(g.letter):
-        return []
-    out = []
-    if can_niqqud(g.letter):
-        out.append(g.niqqud == p.niqqud)
-    if can_dagesh(g.letter):
-        out.append(g.dagesh == p.dagesh)
-    if is_shin(g.letter):
-        out.append(g.sin == p.sin)
-    return out
 
 
 def dec(gold: Document, pred: Document) -> Counts:
     """Every decision scored independently."""
-    correct = total = 0
-    for g, p in align(gold, pred):
-        outcomes = _decisions(g, p)
-        total += len(outcomes)
-        correct += sum(outcomes)
-    return Counts(correct, total)
+    return score_document(gold, pred).dec
 
 
 def cha(gold: Document, pred: Document) -> Counts:
     """Characters with at least one decision, all of which must agree."""
-    correct = total = 0
-    for g, p in align(gold, pred):
-        outcomes = _decisions(g, p)
-        if not outcomes:
-            continue
-        total += 1
-        correct += all(outcomes)
-    return Counts(correct, total)
-
-
-def _token_scores(
-    gold: Document, pred: Document, char_ok
-) -> Counts:
-    pairs = align(gold, pred)
-    spans = token_spans(gold.letters)
-    correct = 0
-    for start, end in spans:
-        correct += all(char_ok(*pairs[i]) for i in range(start, end))
-    return Counts(correct, len(spans))
+    return score_document(gold, pred).cha
 
 
 def wor(gold: Document, pred: Document) -> Counts:
     """Whole tokens: every decision on every character must agree."""
-    return _token_scores(gold, pred, lambda g, p: all(_decisions(g, p)))
-
-
-def _same_pronunciation(g: MarkedChar, p: MarkedChar) -> bool:
-    if not is_hebrew_letter(g.letter):
-        return True
-    return vocalization_signature(g) == vocalization_signature(p)
+    return score_document(gold, pred).wor
 
 
 def voc(gold: Document, pred: Document) -> Counts:
     """Whole tokens up to pronunciation.  Never below WOR: exact label
     agreement implies equal signatures."""
-    return _token_scores(gold, pred, _same_pronunciation)
+    return score_document(gold, pred).voc
 
 
 @dataclass(frozen=True)
@@ -156,13 +113,41 @@ class DocScores:
         return getattr(self, name)
 
 
+# Index of each niqqud label value's vowel class, for vectorised compares.
+_VOWEL_IDS = np.array([list(VowelClass).index(_VOWEL_CLASS[n]) for n in Niqqud])
+
+
+def _tokens_ok(letters: str, char_ok: np.ndarray) -> Counts:
+    """Tokens whose every letter is ok, by a running count of bad letters."""
+    spans = np.array(token_spans(letters), dtype=np.intp).reshape(-1, 2)
+    bad_before = np.concatenate(([0], np.cumsum(~char_ok)))
+    bad = bad_before[spans[:, 1]] - bad_before[spans[:, 0]]
+    return Counts(int((bad == 0).sum()), len(spans))
+
+
 def score_document(gold: Document, pred: Document) -> DocScores:
+    """All four metrics of one document pair.  Decisions are the letters'
+    :func:`~hebdot.corpus.decision_masks`; pronunciation compares the vowel
+    class, the sin dot on shin and the dagesh on b/k/p."""
+    _check_letters(gold, pred)
+    g, p = gold.labels, pred.labels
+    masks = decision_masks(gold.letters)
+    slots = sum(m.astype(np.intp) for m in masks.values())
+    wrong = sum((masks[k] & (g[k] != p[k])).astype(np.intp) for k in masks)
+    char_ok = wrong == 0
+    bkp = letter_mask(gold.letters, BKP_LETTERS)
+    same_sound = (
+        (~masks["niqqud"] | (_VOWEL_IDS[g["niqqud"]] == _VOWEL_IDS[p["niqqud"]]))
+        & (~masks["sin"] | (g["sin"] == p["sin"]))
+        & (~bkp | ((g["dagesh"] != 0) == (p["dagesh"] != 0)))
+    )
+    has = slots > 0
     return DocScores(
         doc_id=gold.id,
-        dec=dec(gold, pred),
-        cha=cha(gold, pred),
-        wor=wor(gold, pred),
-        voc=voc(gold, pred),
+        dec=Counts(int(slots.sum() - wrong.sum()), int(slots.sum())),
+        cha=Counts(int((has & char_ok).sum()), int(has.sum())),
+        wor=_tokens_ok(gold.letters, char_ok),
+        voc=_tokens_ok(gold.letters, same_sound),
     )
 
 

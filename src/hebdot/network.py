@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -647,7 +648,9 @@ def save_checkpoint(
     vocabulary, capability sets, free-form metadata), then each array as a
     length-prefixed name, u32 rank, u32 dims and row-major float32 bytes.
     All integers little-endian.  Arrays are written in sorted name order so
-    equal models produce identical bytes.
+    equal models produce identical bytes.  They go to ``<path>.tmp``, are
+    synced to disk, and then replace ``path`` whole, so a crash mid-write
+    leaves the previous checkpoint intact.
     """
     header = {
         "config": dataclasses.asdict(config),
@@ -671,7 +674,17 @@ def save_checkpoint(
         buf.write(struct.pack("<I", arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         buf.write(arr.tobytes(order="C"))
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(buf.getvalue())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: Path | str) -> Checkpoint:
@@ -706,6 +719,10 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         header = json.loads(bytes(take(take_u32())).decode("utf-8"))
         config = ModelConfig(**header["config"])
         vocab = Vocabulary.from_json(header["vocab"])
+        if vocab.size != config.vocab_size:
+            raise CorruptCheckpoint(f"{path}: vocabulary size != config.vocab_size")
+        dagesh_capable = frozenset(header["dagesh_capable"])
+        niqqud_capable = frozenset(header["niqqud_capable"])
         n_arrays = take_u32()
         params: dict[str, np.ndarray] = {}
         for _ in range(n_arrays):
@@ -725,7 +742,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         params=params,
         config=config,
         vocab=vocab,
-        dagesh_capable=frozenset(header["dagesh_capable"]),
-        niqqud_capable=frozenset(header["niqqud_capable"]),
+        dagesh_capable=dagesh_capable,
+        niqqud_capable=niqqud_capable,
         meta=header.get("meta", {}),
     )

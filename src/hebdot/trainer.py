@@ -162,6 +162,10 @@ class TrainPlan:
             raise ValueError("epoch counts must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.log_every < 1:
+            raise ValueError("log_every must be positive")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be non-negative")
 
 
 class StepLog(NamedTuple):

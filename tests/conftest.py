@@ -34,9 +34,7 @@ def corpus_root() -> Path:
 
 def doc_from_text(text: str, doc_id: str = "doc") -> Document:
     chars = codec.decompose(codec.normalize(text))
-    return Document(
-        id=doc_id, source="test", chars=tuple(chars), text=codec.compose(chars)
-    )
+    return Document.from_chars(doc_id, "test", chars)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import io
+import json
+import struct
 
 import pytest
 
@@ -13,6 +15,29 @@ BUNDLED_STATS = [
     "validation\t2\t71\t338",
     "test\t2\t70\t333",
 ]
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint, passing its JSON header through ``edit``."""
+    blob = src.read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + n])
+    edit(header)
+    new = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + n :])
+
+
+MALFORMED_HEADERS = {
+    "no_dagesh_capable": lambda h: h.pop("dagesh_capable"),
+    "no_niqqud_capable": lambda h: h.pop("niqqud_capable"),
+    # same size as the config expects, one character listed twice
+    "duplicate_alphabet": lambda h: h["vocab"].update(
+        alphabet=h["vocab"]["alphabet"][:-1] + "א"
+    ),
+    "alphabet_size": lambda h: h["vocab"].update(
+        alphabet=h["vocab"]["alphabet"] + "Ω"
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -142,6 +167,16 @@ class TestDot:
     def test_corrupt_model(self, capsys, tmp_path):
         bad = tmp_path / "bad.nkdm"
         bad.write_bytes(b"not a checkpoint at all")
+        src = tmp_path / "in.txt"
+        src.write_text("שלום\n", encoding="utf-8")
+        code, _, err = run(capsys, "dot", "--model", str(bad), str(src))
+        assert code == 4
+        assert "error:" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header(self, capsys, random_checkpoint, tmp_path, case):
+        bad = tmp_path / "bad.nkdm"
+        rewrite_header(random_checkpoint, bad, MALFORMED_HEADERS[case])
         src = tmp_path / "in.txt"
         src.write_text("שלום\n", encoding="utf-8")
         code, _, err = run(capsys, "dot", "--model", str(bad), str(src))

@@ -12,6 +12,7 @@ from hebdot.codec import (
     Sin,
     compose,
 )
+from hebdot.corpus import SPLITS, Document, load_corpus
 from hebdot.metrics import (
     Counts,
     LetterStreamMismatch,
@@ -124,8 +125,8 @@ class TestHandFrozen:
 def random_marked(rng, letters: str) -> "list[MarkedChar]":
     out = []
     for ch in letters:
-        if ch == " ":
-            out.append(MarkedChar(letter=" "))
+        if ch not in HEBREW_LETTERS:
+            out.append(MarkedChar(letter=ch))
             continue
         dagesh = Dagesh(int(rng.integers(0, 2))) if ch in DAGESH_CAPABLE else Dagesh.NONE
         sin = Sin(int(rng.integers(0, 3))) if ch == "ש" else Sin.NONE
@@ -140,10 +141,20 @@ def random_marked(rng, letters: str) -> "list[MarkedChar]":
     return out
 
 
+def relabelled(rng, doc: Document, share: float) -> Document:
+    """Copy of ``doc`` whose letters take a random legal labelling with
+    probability ``share`` each, and keep their own otherwise."""
+    fresh = random_marked(rng, doc.letters)
+    flip = rng.random(len(doc.letters)) < share
+    chars = [f if k else c for c, f, k in zip(doc.chars, fresh, flip)]
+    return Document.from_chars(doc.id, "pred", chars)
+
+
 class TestVocNeverBelowWor:
-    def test_random_pairs(self):
+    def test_random_pairs(self, bundled_corpus_root):
         rng = np.random.default_rng(123)
         alphabet = list(HEBREW_LETTERS)
+        pairs = []
         for trial in range(300):
             words = [
                 "".join(rng.choice(alphabet, size=rng.integers(1, 6)))
@@ -152,9 +163,20 @@ class TestVocNeverBelowWor:
             letters = " ".join(words)
             gold = doc_from_text(compose(random_marked(rng, letters)), doc_id="g")
             pred = doc_from_text(compose(random_marked(rng, letters)), doc_id="g")
+            pairs.append((letters, gold, pred))
+        # whole documents: punctuation, digits, geresh acronyms and maqaf
+        for split in SPLITS:
+            for doc in load_corpus(bundled_corpus_root, split):
+                for share in (0.02, 0.2, 1.0):
+                    pairs.append((doc.id, doc, relabelled(rng, doc, share)))
+        for name, gold, pred in pairs:
             s = score_document(gold, pred)
-            assert s.voc.correct >= s.wor.correct, letters
+            assert s.voc.correct >= s.wor.correct, name
             assert s.voc.total == s.wor.total
+            want = oracle_scores(gold, pred)
+            for metric in ("dec", "cha", "wor", "voc"):
+                got = s.by_name(metric)
+                assert (got.correct, got.total) == want[metric], (name, metric)
 
 
 class TestEvaluate:

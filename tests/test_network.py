@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hebdot import network
 from hebdot.network import (
     CHECKPOINT_MAGIC,
     HEAD_SIZES,
@@ -367,6 +368,52 @@ class TestCheckpoint:
         self._save(p1)
         self._save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_failed_save_keeps_previous(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "m.nkdm"
+        params, _, _ = self._save(path, seed=11)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                self.f.flush()
+                raise OSError(28, "No space left on device")
+
+        if fail_at == "write":
+            real_open = open
+            monkeypatch.setattr(
+                network,
+                "open",
+                lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                raising=False,
+            )
+        else:
+
+            def failing_fsync(fd):
+                raise OSError(5, "Input/output error")
+
+            monkeypatch.setattr(network.os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            self._save(path, seed=12)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        again = load_checkpoint(path)
+        for name in params:
+            assert np.array_equal(again.params[name], params[name])
+        assert [p.name for p in tmp_path.iterdir()] == ["m.nkdm"]
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.nkdm"

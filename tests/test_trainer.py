@@ -167,6 +167,10 @@ class TestPlan:
             TrainPlan(batch_size=0)
         with pytest.raises(ValueError):
             TrainPlan(modern_epochs=-1)
+        with pytest.raises(ValueError):
+            TrainPlan(log_every=0)
+        with pytest.raises(ValueError):
+            TrainPlan(checkpoint_every=-1)
 
 
 TINY = dict(embed_dim=16, hidden_dim=16)
