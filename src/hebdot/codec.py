@@ -41,6 +41,7 @@ __all__ = [
     "compose",
     "marks_of",
     "strip_diacritics",
+    "drop_orphan_marks",
     "can_dagesh",
     "can_niqqud",
     "is_shin",
@@ -440,6 +441,29 @@ _STRIP_TABLE = {
 def strip_diacritics(text: str) -> str:
     """Remove every diacritic codepoint; all other characters pass through."""
     return text.translate(_STRIP_TABLE)
+
+
+def drop_orphan_marks(text: str) -> str:
+    """Remove the diacritics that do not sit on a Hebrew letter.
+
+    A mark sits on the nearest preceding character that :func:`normalize`
+    keeps, skipping other marks; a mark at the start or after a space,
+    punctuation, a digit or a Latin letter is an orphan.  Everything else
+    passes through, so :func:`decompose` of the normalized result never
+    raises LeadingMarkError and yields the letters of the normalized,
+    stripped text.
+    """
+    out = []
+    on_letter = False
+    for ch in text:
+        cls = char_class(ch)
+        if cls in _MARK_CLASSES:
+            if not on_letter:
+                continue
+        elif cls is not CharClass.OTHER:  # OTHER is removed by normalize
+            on_letter = cls is CharClass.HEBREW_LETTER
+        out.append(ch)
+    return "".join(out)
 
 
 class VowelClass(Enum):

@@ -118,9 +118,10 @@ class Dotter:
 
         Existing diacritics are stripped before prediction, so dotting is
         insensitive to whatever marks the input carried; with
-        ``keep_existing`` an input mark wins over the prediction in its own
-        category.  Characters outside the model alphabet (digits, Latin,
-        anything else) are preserved untouched in place.
+        ``keep_existing`` an input mark on a letter wins over the prediction
+        in its own category, and marks on no letter are ignored.
+        Characters outside the model alphabet (digits, Latin, anything
+        else) are preserved untouched in place.
         """
         stripped = strip_diacritics(text)
         norm, alignment = AlignmentMap.build(stripped)
@@ -155,8 +156,9 @@ def _apply_overrides(
     predicted: dict[str, np.ndarray], letters: str, raw: str
 ) -> dict[str, np.ndarray]:
     """Replace predictions with input marks wherever the input had any, then
-    drop every mark the codec's invariants reject."""
-    existing = codec.decompose(codec.normalize(raw))
+    drop every mark the codec's invariants reject.  Marks that sit on no
+    Hebrew letter are ignored, as plain dotting ignores every input mark."""
+    existing = codec.decompose(codec.normalize(codec.drop_orphan_marks(raw)))
     if len(existing) != len(letters):
         # normalization of the marked and stripped text must agree on letters
         raise codec.InvariantViolation(

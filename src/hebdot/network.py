@@ -7,6 +7,14 @@ head.  Forward, loss and analytic gradients are implemented here directly;
 :func:`gradient_check` compares those gradients against central finite
 differences and is wired into both the test suite and the CLI.
 
+Each LSTM direction computes its input projection ``u @ Wx + b`` for all
+time steps as one GEMM into a (B, T, 4H) gate buffer, gates laid out
+i|f|g|o.  The time loop adds only ``h @ Wh`` and activates the gates in
+place, sigmoid written as ``0.5 * tanh(0.5 * x) + 0.5``.  The backward pass
+writes each step's gate gradient into the same buffer, keeps only
+``dz @ Wh.T`` in the reverse loop, and computes the weight, bias and input
+gradients afterwards as whole-sequence GEMMs.
+
 Everything is deterministic given the seeds: parameter init draws in a
 fixed order, and dropout masks are created outside the forward pass so the
 same masks can be replayed.
@@ -145,14 +153,17 @@ def make_dropout_masks(
     return [rng.random(shape) >= config.dropout for _ in range(config.num_layers)]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form keeps exp() away from large positive arguments
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and shift rows that activate a whole i|f|g|o gate vector with
+    one tanh: ``scale * tanh(scale * z) + shift`` is
+    ``sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5`` on the i, f and o slices and
+    ``tanh(z)`` on g.  Stable for every z and free of boolean gathers;
+    scaling by 0.5 or 1 is exact, so each slice rounds as its formula does."""
+    scale = np.full(4 * H, 0.5, dtype)
+    scale[2 * H : 3 * H] = 1.0
+    shift = np.full(4 * H, 0.5, dtype)
+    shift[2 * H : 3 * H] = 0.0
+    return scale, shift
 
 
 def _reversal_index(lengths: np.ndarray, width: int) -> np.ndarray:
@@ -170,21 +181,15 @@ def _reversal_index(lengths: np.ndarray, width: int) -> np.ndarray:
 @dataclass
 class _DirCache:
     u: np.ndarray  # (B, T, in) input in this direction's time order
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray  # (B, T, H) each
-    h: np.ndarray
+    gates: np.ndarray  # (B, T, 4H) activated i|f|g|o; backward overwrites with dz
+    c: np.ndarray  # (B, T, H) cell states
+    h: np.ndarray  # (B, T, H) hidden states
 
 
 @dataclass
 class ForwardCache:
-    embedded: np.ndarray
     rev_idx: np.ndarray
-    directions: list[dict[str, _DirCache]]
-    layer_out: list[np.ndarray]  # concat(fwd, bwd) per layer, document order
-    dropped: list[np.ndarray]  # layer_out after dropout scaling
+    directions: list[dict[str, _DirCache]]  # per layer, in each one's time order
     feats: np.ndarray
     proj: np.ndarray
     dropout_masks: list[np.ndarray] | None
@@ -193,28 +198,31 @@ class ForwardCache:
 def _run_direction(
     u: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray
 ) -> _DirCache:
-    B, T, _ = u.shape
+    B, T, n_in = u.shape
     H = Wh.shape[0]
     dtype = u.dtype
-    i_s = np.empty((B, T, H), dtype)
-    f_s = np.empty((B, T, H), dtype)
-    g_s = np.empty((B, T, H), dtype)
-    o_s = np.empty((B, T, H), dtype)
+    # input projection for every step at once; only h @ Wh is sequential
+    gates = (u.reshape(B * T, n_in) @ Wx).reshape(B, T, 4 * H)
+    gates += b
+    scale, shift = _gate_affine(H, dtype)
     c_s = np.empty((B, T, H), dtype)
     h_s = np.empty((B, T, H), dtype)
-    h = np.zeros((B, H), dtype)
     c = np.zeros((B, H), dtype)
     for t in range(T):
-        z = u[:, t] @ Wx + h @ Wh + b
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        i_s[:, t], f_s[:, t], g_s[:, t], o_s[:, t] = i, f, g, o
-        c_s[:, t], h_s[:, t] = c, h
-    return _DirCache(u=u, i=i_s, f=f_s, g=g_s, o=o_s, c=c_s, h=h_s)
+        z = gates[:, t]
+        if t:  # the recurrent input is zero at t == 0
+            z += h @ Wh
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        c_t, h_t = c_s[:, t], h_s[:, t]
+        np.multiply(z[:, H : 2 * H], c, out=c_t)
+        c_t += z[:, :H] * z[:, 2 * H : 3 * H]
+        np.tanh(c_t, out=h_t)
+        h_t *= z[:, 3 * H :]
+        c, h = c_t, h_t
+    return _DirCache(u=u, gates=gates, c=c_s, h=h_s)
 
 
 def forward(
@@ -246,8 +254,7 @@ def forward(
 
     u = E
     directions: list[dict[str, _DirCache]] = []
-    layer_out: list[np.ndarray] = []
-    dropped: list[np.ndarray] = []
+    dropped: list[np.ndarray] = []  # concat(fwd, bwd) per layer after dropout
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     for layer in range(config.num_layers):
         per_dir: dict[str, _DirCache] = {}
@@ -271,7 +278,6 @@ def forward(
         else:
             D = H_layer
         directions.append(per_dir)
-        layer_out.append(H_layer)
         dropped.append(D)
         u = D
 
@@ -281,11 +287,8 @@ def forward(
     P = feats @ params["proj_W"] + params["proj_b"]
     logits = {k: P @ params[f"head_{k}_W"] + params[f"head_{k}_b"] for k in CATEGORIES}
     cache = ForwardCache(
-        embedded=E,
         rev_idx=rev,
         directions=directions,
-        layer_out=layer_out,
-        dropped=dropped,
         feats=feats,
         proj=P,
         dropout_masks=dropout_masks,
@@ -426,7 +429,7 @@ def loss_and_grads(
     grads["proj_b"] += dP_flat.sum(axis=0)
     dfeats = dP @ params["proj_W"].T
 
-    d_dropped = [np.zeros_like(d) for d in cache.dropped]
+    d_dropped = [np.zeros_like(cache.feats) for _ in range(config.num_layers)]
     d_dropped[-1] += dfeats
     if config.residual:
         d_dropped[-2] += dfeats
@@ -477,41 +480,43 @@ def _backprop_direction(
     gb: np.ndarray,
 ) -> np.ndarray:
     """Reverse-time pass for one direction, accumulating into the provided
-    gradient buffers.  Returns the gradient w.r.t. this direction's input."""
+    gradient buffers.  Returns the gradient w.r.t. this direction's input.
+
+    Each step's gate pre-activation gradient dz replaces that step's
+    activated gates in ``cache.gates``, so the cache is spent afterwards.
+    Only ``dz @ Wh.T`` is sequential; the weight and input gradients are
+    whole-sequence GEMMs after the loop.
+    """
     B, T, H = dh_seq.shape
+    n_in = cache.u.shape[2]
     dtype = dh_seq.dtype
-    dU = np.empty_like(cache.u)
+    gates = cache.gates
     dh_next = np.zeros((B, H), dtype)
     dc_next = np.zeros((B, H), dtype)
     zeros = np.zeros((B, H), dtype)
     for t in range(T - 1, -1, -1):
-        i, f, g, o = cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t]
-        c = cache.c[:, t]
+        act = gates[:, t].copy()
+        i, f = act[:, :H], act[:, H : 2 * H]
+        g, o = act[:, 2 * H : 3 * H], act[:, 3 * H :]
         c_prev = cache.c[:, t - 1] if t > 0 else zeros
-        h_prev = cache.h[:, t - 1] if t > 0 else zeros
-        tc = np.tanh(c)
+        tc = np.tanh(cache.c[:, t])
         dh = dh_seq[:, t] + dh_next
-        do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        gWx += cache.u[:, t].T @ dz
-        gWh += h_prev.T @ dz
-        gb += dz.sum(axis=0)
-        dU[:, t] = dz @ Wx.T
+        dz = gates[:, t]
+        np.multiply(dc * g, i * (1.0 - i), out=dz[:, :H])
+        np.multiply(dc * c_prev, f * (1.0 - f), out=dz[:, H : 2 * H])
+        np.multiply(dc * i, 1.0 - g * g, out=dz[:, 2 * H : 3 * H])
+        np.multiply(dh * tc, o * (1.0 - o), out=dz[:, 3 * H :])
         dh_next = dz @ Wh.T
         dc_next = dc * f
-    return dU
+    dZ = gates.reshape(B * T, 4 * H)
+    gWx += cache.u.reshape(B * T, n_in).T @ dZ
+    # step t's recurrent input is h[t-1]; h[-1] = 0 contributes nothing
+    h_prev = np.zeros_like(cache.h)
+    h_prev[:, 1:] = cache.h[:, :-1]
+    gWh += h_prev.reshape(B * T, H).T @ dZ
+    gb += dZ.sum(axis=0)
+    return (dZ @ Wx.T).reshape(B, T, n_in)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .codec import DAGESH_CAPABLE, NIQQUD_CAPABLE
 from .corpus import (
+    Batch,
     Chunk,
     Document,
     EmptyCorpus,
@@ -189,6 +190,35 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
+def _train_step(
+    params: dict[str, np.ndarray],
+    config: ModelConfig,
+    adam: AdamState,
+    batch: Batch,
+    drop_rng: np.random.Generator,
+    lr: float,
+    **adam_kw: float,
+) -> float:
+    """One optimizer step on one batch: fresh dropout masks from
+    ``drop_rng``, loss and gradients, then an in-place Adam update with
+    ``adam_kw`` passed to :func:`adam_step`.  Returns the batch loss;
+    parameters stay untouched if the loss or an activation is non-finite."""
+    masks = make_dropout_masks(
+        config, batch.size, batch.letter_ids.shape[1], drop_rng
+    )
+    loss, grads = loss_and_grads(
+        params,
+        config,
+        batch.letter_ids,
+        batch.lengths,
+        batch.golds,
+        batch.masks,
+        masks,
+    )
+    adam_step(params, grads, adam, lr, **adam_kw)
+    return loss
+
+
 def _load_chunks(root: Path, split: str, vocab: Vocabulary) -> list[Chunk]:
     docs = load_corpus(root, split)
     return [c for d in docs for c in encode_document(d, vocab)]
@@ -277,18 +307,10 @@ def train(
                 )
                 for batch in batches:
                     lr = sched.lr_at(phase_step)
-                    masks = make_dropout_masks(
-                        config, batch.size, batch.letter_ids.shape[1], drop_rng
-                    )
                     try:
-                        loss, grads = loss_and_grads(
-                            params,
-                            config,
-                            batch.letter_ids,
-                            batch.lengths,
-                            batch.golds,
-                            batch.masks,
-                            masks,
+                        loss = _train_step(
+                            params, config, adam, batch, drop_rng, lr,
+                            beta1=plan.beta1, beta2=plan.beta2, eps=plan.eps,
                         )
                     except (NonFiniteActivation, NonFiniteLoss):
                         log.error(
@@ -297,9 +319,6 @@ def train(
                             global_step,
                         )
                         raise
-                    adam_step(
-                        params, grads, adam, lr, plan.beta1, plan.beta2, plan.eps
-                    )
                     global_step += 1
                     phase_step += 1
                     result.steps = global_step
@@ -425,20 +444,9 @@ def overfit_probe(
         for batch in make_batches(
             chunks, batch_size, seed=_derived_seed(seed, epoch, 1)
         ):
-            masks = make_dropout_masks(
-                config, batch.size, batch.letter_ids.shape[1], drop_rng
+            epoch_losses.append(
+                _train_step(params, config, adam, batch, drop_rng, lr)
             )
-            loss, grads = loss_and_grads(
-                params,
-                config,
-                batch.letter_ids,
-                batch.lengths,
-                batch.golds,
-                batch.masks,
-                masks,
-            )
-            adam_step(params, grads, adam, lr)
-            epoch_losses.append(loss)
         loss_history.append(float(np.mean(epoch_losses)))
         acc = dec_accuracy(params, config, eval_batches)
         dec_history.append(acc)

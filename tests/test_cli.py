@@ -158,6 +158,18 @@ class TestDot:
         assert code == 0
         assert "ָ" in stdout  # the input qamats survived
 
+    def test_keep_existing_orphan_marks(self, capsys, monkeypatch, random_checkpoint):
+        # a mark after a space or at the start of a line sits on no letter;
+        # it is ignored and the stream goes on
+        lines = ["שלום\n", "א ַ ב\n", "ַעוד\n", "סוף\n"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+        code, stdout, err = run(
+            capsys, "dot", "--model", str(random_checkpoint), "--keep-existing"
+        )
+        assert code == 0, err
+        dotter = Dotter.load(random_checkpoint)
+        assert stdout == "".join(dotter.dot(line) for line in lines)
+
     def test_missing_model(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "dot", "--model", str(tmp_path / "no.nkdm"), str(tmp_path / "x")

@@ -21,6 +21,7 @@ from hebdot.codec import (
     char_class,
     compose,
     decompose,
+    drop_orphan_marks,
     is_shin,
     normalize,
     normalize_mapped,
@@ -256,6 +257,27 @@ class TestStrip:
     def test_idempotent(self, text):
         once = strip_diacritics(text)
         assert strip_diacritics(once) == once
+
+
+class TestDropOrphanMarks:
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            (QAMATS + "של", "של"),  # leading mark
+            ("א " + QAMATS + " ב", "א  ב"),  # mark after a space
+            ("ab" + QAMATS + "1" + DAGESH_CH + "!" + METEG, "ab1!"),
+            ("ש" + SHIN_DOT + QAMATS + METEG + "ל", "ש" + SHIN_DOT + QAMATS + METEG + "ל"),
+            # a character normalize removes does not separate a mark from its letter
+            ("ש😀" + QAMATS, "ש😀" + QAMATS),
+        ],
+    )
+    def test_cases(self, text, want):
+        assert drop_orphan_marks(text) == want
+
+    @given(st.text(alphabet="אבש ,a1😀" + QAMATS + DAGESH_CH + SHIN_DOT + METEG, max_size=40))
+    def test_decompose_matches_stripped_letters(self, text):
+        chars = decompose(normalize(drop_orphan_marks(text)))
+        assert "".join(c.letter for c in chars) == normalize(strip_diacritics(text))
 
 
 class TestPredicates:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hebdot.codec import (
+    DAGESH_CAPABLE,
+    NIQQUD_CAPABLE,
     Dagesh,
     Niqqud,
     Sin,
@@ -10,9 +12,9 @@ from hebdot.codec import (
     strip_diacritics,
     validate,
 )
-from hebdot.corpus import load_corpus
+from hebdot.corpus import SPLITS, Vocabulary, encode_document, load_corpus, make_batches
 from hebdot.dotter import AlignmentMap, Dotter, decode_labels
-from hebdot.network import load_checkpoint
+from hebdot.network import Checkpoint, ModelConfig, forward, init_params, load_checkpoint
 
 
 SAMPLES = [
@@ -156,6 +158,17 @@ class TestKeepExisting:
         assert validate(chars) == []
         assert all(c.dagesh == Dagesh.NONE for c in chars if c.letter == "א")
 
+    @pytest.mark.parametrize("text", ["א ַ ב", "ַשלום", "שלום ַ"])
+    def test_orphan_marks_ignored(self, random_dotter, text):
+        # a mark on no letter is dropped, as without the flag
+        assert random_dotter.dot(text, keep_existing=True) == random_dotter.dot(text)
+
+    def test_orphan_mark_next_to_kept_mark(self, random_dotter):
+        out = random_dotter.dot("קָ ַטן", keep_existing=True)
+        chars = decompose(normalize(out))
+        assert [c.letter for c in chars] == list("ק טן")
+        assert chars[0].niqqud == Niqqud.QAMATS
+
     def test_without_flag_marks_are_ignored(self, random_dotter):
         assert random_dotter.dot("קָטן") == random_dotter.dot("קטן")
 
@@ -174,3 +187,53 @@ class TestDocuments:
         assert list(random_dotter.dot_stream(lines)) == [
             random_dotter.dot(line) for line in lines
         ]
+
+
+@pytest.fixture(scope="module")
+def wide_checkpoint():
+    """Untrained model at hidden 128, where BLAS blocking makes a row's
+    logits depend slightly on the batch around it."""
+    vocab = Vocabulary()
+    config = ModelConfig(vocab_size=vocab.size, embed_dim=128, hidden_dim=128)
+    return Checkpoint(
+        params=init_params(config, seed=4),
+        config=config,
+        vocab=vocab,
+        dagesh_capable=DAGESH_CAPABLE,
+        niqqud_capable=NIQQUD_CAPABLE,
+        meta={},
+    )
+
+
+def smallest_top2_gap(ckpt, docs, batch_size):
+    """Smallest margin between the two best logits over every live decision."""
+    gap = np.inf
+    for doc in docs:
+        chunks = encode_document(doc, ckpt.vocab)
+        for batch in make_batches(chunks, batch_size, seed=None):
+            logits, _ = forward(ckpt.params, ckpt.config, batch.letter_ids, batch.lengths)
+            for k, m in batch.masks.items():
+                if m.any():
+                    top2 = np.sort(logits[k][m], axis=-1)[:, -2:]
+                    gap = min(gap, float((top2[:, 1] - top2[:, 0]).min()))
+    return gap
+
+
+class TestNearPaperSize:
+    def test_labels_invariant_to_batch_size(
+        self, wide_checkpoint, bundled_corpus_root, record_property
+    ):
+        # Logits are not bitwise invariant to batching at this size, labels
+        # are.  The smallest top-2 gap is reported, so a near-tie shows up
+        # as a number next to a failure rather than as a flaky test.
+        docs = [d for split in SPLITS for d in load_corpus(bundled_corpus_root, split)]
+        gap = smallest_top2_gap(wide_checkpoint, docs, batch_size=64)
+        record_property("min_top2_logit_gap", gap)
+        print(f"smallest top-2 logit gap over {len(docs)} documents: {gap:.3g}")
+        one, many = Dotter(wide_checkpoint, batch_size=1), Dotter(wide_checkpoint, batch_size=64)
+        for doc in docs:
+            a, b = one.dot_document(doc).labels, many.dot_document(doc).labels
+            for k in a:
+                assert np.array_equal(a[k], b[k]), (
+                    f"{doc.id} {k}: labels differ; smallest top-2 logit gap {gap:.3g}"
+                )

@@ -102,38 +102,42 @@ def manual_lstm_step(x, h_prev, c_prev, Wx, Wh, b, H):
 
 class TestForward:
     def test_cell_matches_manual_oracle(self):
-        # single layer, H=2, one row of three steps, no padding
+        # single layer, H=2, two rows of three and two steps, the second
+        # padded, so the whole-sequence input projection and the per-row
+        # reversal are both checked against the textbook cell
         config = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2, num_layers=1, dropout=0.0)
         rng = np.random.default_rng(3)
         params = init_params(config, seed=3)
         for name in params:
             params[name] = rng.normal(0, 0.4, params[name].shape).astype(np.float32)
-        ids = np.array([[1, 3, 4]], dtype=np.int32)
-        lengths = np.array([3], dtype=np.int32)
+        ids = np.array([[1, 3, 4], [2, 4, 0]], dtype=np.int32)
+        lengths = np.array([3, 2], dtype=np.int32)
         _, cache = forward(params, config, ids, lengths)
 
         p64 = {k: v.astype(np.float64) for k, v in params.items()}
         H = 2
-        xs = [p64["embedding"][i] for i in ids[0]]
-        h, c = [0.0] * H, [0.0] * H
-        fwd_h = []
-        for x in xs:
-            h, c = manual_lstm_step(
-                list(x), h, c, p64["lstm0_fwd_Wx"], p64["lstm0_fwd_Wh"], p64["lstm0_fwd_b"], H
-            )
-            fwd_h.append(h)
-        h, c = [0.0] * H, [0.0] * H
-        bwd_h = []
-        for x in reversed(xs):
-            h, c = manual_lstm_step(
-                list(x), h, c, p64["lstm0_bwd_Wx"], p64["lstm0_bwd_Wh"], p64["lstm0_bwd_b"], H
-            )
-            bwd_h.append(h)
-        bwd_h.reverse()
+        for row, n in enumerate(lengths):
+            xs = [p64["embedding"][i] for i in ids[row, :n]]
+            h, c = [0.0] * H, [0.0] * H
+            fwd_h = []
+            for x in xs:
+                h, c = manual_lstm_step(
+                    list(x), h, c, p64["lstm0_fwd_Wx"], p64["lstm0_fwd_Wh"], p64["lstm0_fwd_b"], H
+                )
+                fwd_h.append(h)
+            h, c = [0.0] * H, [0.0] * H
+            bwd_h = []
+            for x in reversed(xs):
+                h, c = manual_lstm_step(
+                    list(x), h, c, p64["lstm0_bwd_Wx"], p64["lstm0_bwd_Wh"], p64["lstm0_bwd_b"], H
+                )
+                bwd_h.append(h)
+            bwd_h.reverse()
 
-        got = cache.layer_out[0][0]  # (T, 2H)
-        want = np.concatenate([np.array(fwd_h), np.array(bwd_h)], axis=1)
-        assert np.allclose(got, want, atol=1e-6)
+            # one layer, no dropout: the features are that layer's output
+            got = cache.feats[row, :n]  # (T, 2H), document order
+            want = np.concatenate([np.array(fwd_h), np.array(bwd_h)], axis=1)
+            assert np.allclose(got, want, atol=1e-6)
 
     def test_logit_shapes(self):
         config = tiny_config()
@@ -212,6 +216,22 @@ class TestForward:
         ids, lengths, _, _ = make_synthetic_batch(config, batch=2, width=4, seed=0)
         with pytest.raises(NonFiniteActivation):
             forward(params, config, ids, lengths)
+
+
+class TestNearPaperSize:
+    def test_batching_moves_logits_only_by_rounding(self):
+        # At hidden 128 a row's logits depend, in the last bits, on the batch
+        # around it (BLAS blocking); the bound is about 100 float32 ulps at
+        # unit scale, far below any label decision.
+        config = ModelConfig(vocab_size=60, embed_dim=128, hidden_dim=128)
+        params = init_params(config, seed=2)
+        ids, lengths, _, _ = make_synthetic_batch(config, batch=16, width=40, seed=3)
+        batched, _ = forward(params, config, ids, lengths)
+        tol = 100 * np.finfo(np.float32).eps
+        for r, n in enumerate(lengths):
+            single, _ = forward(params, config, ids[r : r + 1, :n], lengths[r : r + 1])
+            for name in single:
+                assert np.allclose(single[name][0], batched[name][r, :n], rtol=0, atol=tol)
 
 
 class TestLoss:
