@@ -18,7 +18,7 @@ import numpy as np
 
 from .codec import InvariantViolation, LeadingMarkError
 from .corpus import SPLITS, EmptyCorpus, load_corpus, load_dir, split_stats
-from .dotter import Dotter
+from .dotter import INFERENCE_BATCH_SIZE, Dotter
 from .metrics import LetterStreamMismatch, evaluate, render_report
 from .network import (
     CorruptCheckpoint,
@@ -100,8 +100,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     src = _open_in(args.input)
     dst = _open_out(args.out)
     try:
-        for line in src:
-            dst.write(dotter.dot(line, keep_existing=args.keep_existing))
+        for dotted in dotter.dot_stream(src, keep_existing=args.keep_existing):
+            dst.write(dotted)
         dst.flush()
     finally:
         if src is not sys.stdin:
@@ -114,11 +114,10 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     golds = load_dir(Path(args.gold), source="gold")
     dotter = Dotter.load(args.model, batch_size=args.batch_size)
-    preds = [dotter.dot_document(d) for d in golds]
-    report = evaluate(golds, preds)
+    report = evaluate(golds, dotter.label_documents(golds))
     if args.baseline:
         other = Dotter.load(args.baseline, batch_size=args.batch_size)
-        base_report = evaluate(golds, [other.dot_document(d) for d in golds])
+        base_report = evaluate(golds, other.label_documents(golds))
         print("metric\tmodel\tbaseline")
         for name in ("dec", "cha", "wor", "voc"):
             print(
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="marks already present in the input win over predictions",
     )
-    p_dot.add_argument("--batch-size", type=int, default=64)
+    p_dot.add_argument("--batch-size", type=int, default=INFERENCE_BATCH_SIZE)
     p_dot.set_defaults(func=_cmd_dot)
 
     p_eval = sub.add_parser("eval", help="score a model against dotted gold files")
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--counts", action="store_true", help="append raw correct/total counts"
     )
-    p_eval.add_argument("--batch-size", type=int, default=64)
+    p_eval.add_argument("--batch-size", type=int, default=INFERENCE_BATCH_SIZE)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_stats = sub.add_parser("stats", help="corpus statistics per split")

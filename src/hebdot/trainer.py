@@ -378,8 +378,7 @@ def validation_wor(
         ),
         batch_size=batch_size,
     )
-    preds = [dotter.dot_document(d) for d in docs]
-    return evaluate(docs, preds).macro["wor"]
+    return evaluate(docs, dotter.label_documents(docs)).macro["wor"]
 
 
 def dec_accuracy(
@@ -389,7 +388,9 @@ def dec_accuracy(
     correct = 0
     total = 0
     for batch in batches:
-        logits, _ = forward(params, config, batch.letter_ids, batch.lengths)
+        logits, _ = forward(
+            params, config, batch.letter_ids, batch.lengths, keep_cache=False
+        )
         labels = decode_labels(logits, batch.masks)
         for k, m in batch.masks.items():
             correct += int((labels[k][m] == batch.golds[k][m]).sum())

@@ -1,6 +1,10 @@
+from collections import defaultdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from hebdot import corpus, dotter as dotter_module
 from hebdot.codec import (
     DAGESH_CAPABLE,
     NIQQUD_CAPABLE,
@@ -12,7 +16,15 @@ from hebdot.codec import (
     strip_diacritics,
     validate,
 )
-from hebdot.corpus import SPLITS, Vocabulary, encode_document, load_corpus, make_batches
+from hebdot.corpus import (
+    CATEGORIES,
+    SPLITS,
+    Document,
+    Vocabulary,
+    encode_document,
+    load_corpus,
+    make_batches,
+)
 from hebdot.dotter import AlignmentMap, Dotter, decode_labels
 from hebdot.network import Checkpoint, ModelConfig, forward, init_params, load_checkpoint
 
@@ -183,10 +195,126 @@ class TestDocuments:
         assert strip_diacritics(out.text) == doc.letters
 
     def test_dot_stream(self, random_dotter):
-        lines = ["שורה אחת", "שורה שתיים", "", "no hebrew"]
+        lines = ["שורה אחת", "שורה שתיים", "", "no hebrew", "קָטן\n"]
         assert list(random_dotter.dot_stream(lines)) == [
             random_dotter.dot(line) for line in lines
         ]
+        assert list(random_dotter.dot_stream(lines, keep_existing=True)) == [
+            random_dotter.dot(line, keep_existing=True) for line in lines
+        ]
+
+
+def top2_gap(logits, masks):
+    """Smallest margin between the two best logits over the live decisions
+    of one batch; inf when it has none."""
+    gap = np.inf
+    for k, m in masks.items():
+        if m.any():
+            top2 = np.sort(logits[k][m], axis=-1)[:, -2:]
+            gap = min(gap, float((top2[:, 1] - top2[:, 0]).min()))
+    return gap
+
+
+@pytest.fixture
+def packing(monkeypatch):
+    """Records every batch the dotter forms and the smallest top-2 logit gap
+    over the batches it decodes."""
+    seen = SimpleNamespace(batches=[], gap=np.inf)
+
+    def recording_make_batches(*args, **kwargs):
+        batches = corpus.make_batches(*args, **kwargs)
+        seen.batches += batches
+        return batches
+
+    def recording_decode_labels(logits, masks):
+        seen.gap = min(seen.gap, top2_gap(logits, masks))
+        return decode_labels(logits, masks)
+
+    monkeypatch.setattr(dotter_module, "make_batches", recording_make_batches)
+    monkeypatch.setattr(dotter_module, "decode_labels", recording_decode_labels)
+    return seen
+
+
+def bundled_docs(root):
+    return [d for split in SPLITS for d in load_corpus(root, split)]
+
+
+def assert_packed_matches_single_rows(ckpt, docs, packed, gap):
+    """Packed labels equal each document labelled alone, one row a batch."""
+    alone = Dotter(ckpt, batch_size=1)
+    assert len(packed) == len(docs)
+    for doc, got in zip(docs, packed):
+        assert (got.id, got.source, got.letters) == (doc.id, "dotted", doc.letters)
+        want = alone.dot_document(doc).labels
+        for k in CATEGORIES:
+            assert np.array_equal(got.labels[k], want[k]), (
+                f"{doc.id} {k}: labels differ; smallest top-2 logit gap {gap:.3g}"
+            )
+
+
+class TestLabelDocuments:
+    def test_matches_per_document(self, random_checkpoint, bundled_corpus_root, packing):
+        ckpt = load_checkpoint(random_checkpoint)
+        docs = bundled_docs(bundled_corpus_root)
+        packed = Dotter(ckpt).label_documents(docs)
+        assert_packed_matches_single_rows(ckpt, docs, packed, packing.gap)
+
+    def test_chunks_packed_across_documents(
+        self, random_checkpoint, bundled_corpus_root, packing
+    ):
+        ckpt = load_checkpoint(random_checkpoint)
+        docs = bundled_docs(bundled_corpus_root)
+        packed = Dotter(ckpt, batch_size=3).label_documents(docs)
+        batches = list(packing.batches)
+        assert all(b.size == 3 for b in batches[:-1])
+        widths = np.concatenate([b.lengths for b in batches])
+        assert np.all(np.diff(widths) >= 0)  # sorted by length
+        holding = defaultdict(set)
+        for i, b in enumerate(batches):
+            for doc_id in b.doc_ids:
+                holding[doc_id].add(i)
+        assert any(len(held) > 1 for held in holding.values())
+        assert any(len(set(b.doc_ids)) > 1 for b in batches)
+        assert_packed_matches_single_rows(ckpt, docs, packed, packing.gap)
+
+    def test_document_without_chunks(self, random_dotter, bundled_corpus_root):
+        blank = {k: np.zeros(1, dtype=np.int8) for k in CATEGORIES}
+        space = Document("space", "test", " ", blank)
+        doc = load_corpus(bundled_corpus_root, "test")[0]
+        out = random_dotter.label_documents([space, doc, space])
+        for got in (out[0], out[2]):
+            assert got.letters == " "
+            assert all(got.labels[k].tolist() == [0] for k in CATEGORIES)
+        want = random_dotter.dot_document(doc).labels
+        assert all(np.array_equal(out[1].labels[k], want[k]) for k in CATEGORIES)
+        assert random_dotter.label_documents([]) == []
+
+
+class TestPaperSize:
+    def test_dotting_changes_only_diacritics(self, bundled_corpus_root):
+        vocab = Vocabulary()
+        config = ModelConfig(
+            vocab_size=vocab.size, embed_dim=400, hidden_dim=400, num_layers=2
+        )
+        ckpt = Checkpoint(
+            params=init_params(config, seed=9),
+            config=config,
+            vocab=vocab,
+            dagesh_capable=DAGESH_CAPABLE,
+            niqqud_capable=NIQQUD_CAPABLE,
+            meta={},
+        )
+        dotter = Dotter(ckpt)
+        lines = [
+            line
+            for path in sorted(bundled_corpus_root.rglob("*.txt"))
+            for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
+        ]
+        for keep in (False, True):
+            for line in lines:
+                out = dotter.dot(line, keep_existing=keep)
+                assert strip_diacritics(out) == strip_diacritics(line), (keep, line)
+                assert validate(decompose(normalize(out))) == [], (keep, line)
 
 
 @pytest.fixture(scope="module")
@@ -212,10 +340,7 @@ def smallest_top2_gap(ckpt, docs, batch_size):
         chunks = encode_document(doc, ckpt.vocab)
         for batch in make_batches(chunks, batch_size, seed=None):
             logits, _ = forward(ckpt.params, ckpt.config, batch.letter_ids, batch.lengths)
-            for k, m in batch.masks.items():
-                if m.any():
-                    top2 = np.sort(logits[k][m], axis=-1)[:, -2:]
-                    gap = min(gap, float((top2[:, 1] - top2[:, 0]).min()))
+            gap = min(gap, top2_gap(logits, batch.masks))
     return gap
 
 
@@ -237,3 +362,15 @@ class TestNearPaperSize:
                 assert np.array_equal(a[k], b[k]), (
                     f"{doc.id} {k}: labels differ; smallest top-2 logit gap {gap:.3g}"
                 )
+
+    def test_packed_labels_match_per_document(
+        self, wide_checkpoint, bundled_corpus_root, packing, record_property
+    ):
+        # The gap is taken over the packed batches, whose rows come from
+        # several documents at once.
+        docs = bundled_docs(bundled_corpus_root)
+        packed = Dotter(wide_checkpoint).label_documents(docs)
+        gap = packing.gap
+        record_property("min_top2_logit_gap_packed", gap)
+        print(f"smallest top-2 logit gap over packed batches: {gap:.3g}")
+        assert_packed_matches_single_rows(wide_checkpoint, docs, packed, gap)

@@ -193,6 +193,20 @@ class TestForward:
         for name in a:
             assert np.array_equal(a[name][perm], b[name])
 
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_no_cache_forward_matches_cached(self, residual):
+        config = tiny_config(dropout=0.1, residual=residual)
+        params = init_params(config, seed=6)
+        ids, lengths, _, _ = make_synthetic_batch(config, batch=5, width=9, seed=7)
+        masks = make_dropout_masks(config, 5, 9, np.random.default_rng(8))
+        cached, cache = forward(params, config, ids, lengths, dropout_masks=masks)
+        bare, none = forward(
+            params, config, ids, lengths, dropout_masks=masks, keep_cache=False
+        )
+        assert cache is not None and none is None
+        for name in cached:
+            assert np.array_equal(cached[name], bare[name])
+
     def test_rejects_out_of_range_ids(self):
         config = tiny_config()
         params = init_params(config, seed=0)
