@@ -1,11 +1,15 @@
 """Character-level codec for dotted Hebrew text.
 
-Converts between raw UTF-8 text and sequences of :class:`MarkedChar`, where
-each character carries up to three independent diacritic labels: a vowel mark
-(niqqud), a dagesh/mappiq dot, and the shin/sin dot.  Also home to the
-character-class predicates (``can_dagesh``, ``can_niqqud``, ``is_shin``) that
-the rest of the pipeline uses to decide which classification slots exist for
-a given letter.
+:func:`parse` is the one rule from raw text to what the model sees: the
+normalized letter stream, one int8 label array per category (a vowel mark
+or niqqud, a dagesh/mappiq dot, the shin/sin dot) and where each letter
+ends in the raw text.  Corpus loading and dotting both read it.
+:func:`normalize`, :func:`decompose` and :func:`compose` convert between
+text and per-character :class:`MarkedChar` values; all three and ``parse``
+classify code points through one lazily filled table.  Also home to the
+character-class predicates (``can_dagesh``, ``can_niqqud``, ``is_shin``)
+that the rest of the pipeline uses to decide which classification slots
+exist for a given letter.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "CharClass",
@@ -34,21 +40,20 @@ __all__ = [
     "DAGESH_CAPABLE",
     "NIQQUD_CAPABLE",
     "BKP_LETTERS",
+    "CATEGORIES",
     "char_class",
+    "parse",
     "normalize",
-    "normalize_mapped",
     "decompose",
     "compose",
     "marks_of",
     "strip_diacritics",
-    "drop_orphan_marks",
     "can_dagesh",
     "can_niqqud",
     "is_shin",
     "is_hebrew_letter",
     "vocalization_signature",
     "validate",
-    "drop_invalid_marks",
 ]
 
 
@@ -188,20 +193,8 @@ NIQQUD_CAPABLE = _HEBREW_SET
 BKP_LETTERS = frozenset("בכפ")
 
 
-_CLASS_CACHE: dict[str, CharClass] = {}
-
-
 def char_class(ch: str) -> CharClass:
     """Classify a single character.  Total: every scalar gets one class."""
-    cached = _CLASS_CACHE.get(ch)
-    if cached is not None:
-        return cached
-    cls = _classify(ch)
-    _CLASS_CACHE[ch] = cls
-    return cls
-
-
-def _classify(ch: str) -> CharClass:
     if ch in _HEBREW_SET:
         return CharClass.HEBREW_LETTER
     if ch in _CHAR_TO_NIQQUD:
@@ -231,73 +224,90 @@ def _is_latin_letter(ch: str) -> bool:
     return 0xC0 <= cp <= 0x24F and unicodedata.category(ch).startswith("L")
 
 
-def _candidate(ch: str) -> str | None:
-    """Normalized form of one raw character, or None if it is removed."""
-    cls = char_class(ch)
-    if cls is CharClass.HEBREW_LETTER:
-        return ch
-    if cls in (CharClass.NIQQUD_MARK, CharClass.DAGESH_MARK, CharClass.SIN_SHIN_MARK):
-        return ch
-    if cls is CharClass.SPACE:
-        return " "
-    if cls is CharClass.PUNCT:
-        return _TYPOGRAPHIC_MAP.get(ch, ch)
-    if cls is CharClass.DIGIT:
-        return DIGIT_SYMBOL
-    if cls is CharClass.LATIN:
-        return LATIN_SYMBOL
-    return None  # DROPPED_MARK and OTHER
+# The label categories, in the order of MarkedChar's fields and of the
+# label arrays parse returns.
+CATEGORIES = ("niqqud", "dagesh", "sin")
+
+# What a code point is to the letter stream: a base character (value: its
+# normalized form), a space, a label mark (value: category index, label), a
+# dropped mark (meteg, rafe, cantillation) or anything else, which is removed.
+_BASE, _SPACE, _MARK, _DROPPED, _REMOVED = range(5)
 
 
-def normalize_mapped(
-    raw: str,
-) -> tuple[str, list[tuple[int, int]], list[tuple[int, int]]]:
-    """Normalize and report where every output character came from.
+class _Table(dict):
+    """Code point -> (kind, value), filled from char_class on first sight."""
 
-    Returns ``(normalized, spans, removed)`` where ``spans[i]`` is the
-    half-open raw span that produced output position ``i`` and ``removed``
-    lists the raw spans deleted outright (ordered; together with ``spans``
-    they cover the input exactly).
+    def __missing__(self, ch: str) -> tuple[int, object]:
+        cls = char_class(ch)
+        if cls is CharClass.HEBREW_LETTER:
+            entry = (_BASE, ch)
+        elif cls is CharClass.PUNCT:
+            entry = (_BASE, _TYPOGRAPHIC_MAP.get(ch, ch))
+        elif cls is CharClass.DIGIT:
+            entry = (_BASE, DIGIT_SYMBOL)
+        elif cls is CharClass.LATIN:
+            entry = (_BASE, LATIN_SYMBOL)
+        elif cls is CharClass.SPACE:
+            entry = (_SPACE, None)
+        elif cls is CharClass.NIQQUD_MARK:
+            entry = (_MARK, (0, _CHAR_TO_NIQQUD[ch]))
+        elif cls is CharClass.DAGESH_MARK:
+            entry = (_MARK, (1, Dagesh.DAGESH))
+        elif cls is CharClass.SIN_SHIN_MARK:
+            entry = (_MARK, (2, Sin.SHIN_DOT if ch == SHIN_DOT_CHAR else Sin.SIN_DOT))
+        elif cls is CharClass.DROPPED_MARK:
+            entry = (_DROPPED, None)
+        else:
+            entry = (_REMOVED, None)
+        self[ch] = entry
+        return entry
+
+
+_TABLE = _Table()
+
+
+def parse(text: str) -> tuple[str, dict[str, np.ndarray], list[int]]:
+    """Turn raw text into letters, labels and offsets in one pass.
+
+    Returns ``(letters, labels, ends)``: ``letters`` is
+    ``normalize(strip_diacritics(text))``; ``labels`` maps each category of
+    CATEGORIES to an int8 array with one codec label value per letter; and
+    ``text[ends[i] - 1]`` is the raw character behind ``letters[i]``, so
+    ``ends`` rises strictly and is the identity plus one on clean text.
+
+    Marks never enter the letter stream or split a run of whitespace.  Each
+    label mark attaches to the last kept character before it, whatever
+    was removed in between; the last mark of a category wins, qamats qatan
+    and holam haser fold into qamats and holam, and meteg, rafe and
+    cantillation are dropped.  A mark with no kept character before it is
+    dropped.  Marks a character cannot carry (any mark on a space, a dagesh
+    on alef) stay in the labels for the caller to mask.
     """
     out: list[str] = []
-    spans: list[tuple[int, int]] = []
-    removed: list[tuple[int, int]] = []
-
-    def remove(start: int, end: int) -> None:
-        if removed and removed[-1][1] == start:
-            removed[-1] = (removed[-1][0], end)
-        else:
-            removed.append((start, end))
-
-    for i, ch in enumerate(raw):
-        cand = _candidate(ch)
-        if cand is None:
-            remove(i, i + 1)
-        elif cand == " ":
-            if out and out[-1] != " ":
+    ends: list[int] = []
+    marks: dict[tuple[int, int], int] = {}  # (category, position) -> label
+    after_space = True  # whitespace at the start is not kept
+    for end, ch in enumerate(text, 1):
+        kind, value = _TABLE[ch]
+        if kind == _BASE:
+            out.append(value)
+            ends.append(end)
+            after_space = False
+        elif kind == _SPACE:
+            if not after_space:
                 out.append(" ")
-                spans.append((i, i + 1))
-            else:
-                remove(i, i + 1)
-        else:
-            out.append(cand)
-            spans.append((i, i + 1))
-
-    while out and out[-1] == " ":
+                ends.append(end)
+                after_space = True
+        elif kind == _MARK and out:
+            marks[value[0], len(out) - 1] = value[1]
+    labels = np.zeros((len(CATEGORIES), len(out)), np.int8)
+    for at, label in marks.items():
+        labels[at] = label
+    if out and out[-1] == " ":  # a trailing space goes, with its marks
         out.pop()
-        start, end = spans.pop()
-        # re-merge with neighbours in positional order
-        removed.append((start, end))
-        removed.sort()
-        merged: list[tuple[int, int]] = []
-        for s, e in removed:
-            if merged and merged[-1][1] >= s:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        removed = merged
-
-    return "".join(out), spans, removed
+        ends.pop()
+        labels = labels[:, :-1]
+    return "".join(out), dict(zip(CATEGORIES, labels)), ends
 
 
 def normalize(raw: str) -> str:
@@ -308,7 +318,18 @@ def normalize(raw: str) -> str:
     symbol each; everything else is removed.  Runs of whitespace collapse to
     one space and the result carries no leading/trailing space.
     """
-    return normalize_mapped(raw)[0]
+    out: list[str] = []
+    for ch in raw:
+        kind, value = _TABLE[ch]
+        if kind == _BASE:
+            out.append(value)
+        elif kind == _MARK:
+            out.append(ch)
+        elif kind == _SPACE and out and out[-1] != " ":
+            out.append(" ")
+    if out and out[-1] == " ":
+        out.pop()
+    return "".join(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,27 +392,15 @@ def decompose(dotted: str) -> list[MarkedChar]:
     """
     chars: list[MarkedChar] = []
     for i, ch in enumerate(dotted):
-        cls = char_class(ch)
-        if cls in (
-            CharClass.NIQQUD_MARK,
-            CharClass.DAGESH_MARK,
-            CharClass.SIN_SHIN_MARK,
-            CharClass.DROPPED_MARK,
-        ):
+        kind, value = _TABLE[ch]
+        if kind == _MARK or kind == _DROPPED:
             if not chars:
                 raise LeadingMarkError(
                     f"combining mark U+{ord(ch):04X} at position {i} precedes any base character"
                 )
-            if cls is CharClass.DROPPED_MARK:
-                continue
-            last = chars[-1]
-            if cls is CharClass.NIQQUD_MARK:
-                chars[-1] = dataclasses.replace(last, niqqud=_CHAR_TO_NIQQUD[ch])
-            elif cls is CharClass.DAGESH_MARK:
-                chars[-1] = dataclasses.replace(last, dagesh=Dagesh.DAGESH)
-            else:
-                sin = Sin.SHIN_DOT if ch == SHIN_DOT_CHAR else Sin.SIN_DOT
-                chars[-1] = dataclasses.replace(last, sin=sin)
+            if kind == _MARK:
+                category, label = value
+                chars[-1] = dataclasses.replace(chars[-1], **{CATEGORIES[category]: label})
         else:
             chars.append(MarkedChar(letter=ch))
     return chars
@@ -441,29 +450,6 @@ _STRIP_TABLE = {
 def strip_diacritics(text: str) -> str:
     """Remove every diacritic codepoint; all other characters pass through."""
     return text.translate(_STRIP_TABLE)
-
-
-def drop_orphan_marks(text: str) -> str:
-    """Remove the diacritics that do not sit on a Hebrew letter.
-
-    A mark sits on the nearest preceding character that :func:`normalize`
-    keeps, skipping other marks; a mark at the start or after a space,
-    punctuation, a digit or a Latin letter is an orphan.  Everything else
-    passes through, so :func:`decompose` of the normalized result never
-    raises LeadingMarkError and yields the letters of the normalized,
-    stripped text.
-    """
-    out = []
-    on_letter = False
-    for ch in text:
-        cls = char_class(ch)
-        if cls in _MARK_CLASSES:
-            if not on_letter:
-                continue
-        elif cls is not CharClass.OTHER:  # OTHER is removed by normalize
-            on_letter = cls is CharClass.HEBREW_LETTER
-        out.append(ch)
-    return "".join(out)
 
 
 class VowelClass(Enum):
@@ -523,19 +509,3 @@ def validate(doc: Iterable[MarkedChar]) -> list[tuple[int, str]]:
         if problem is not None:
             problems.append((i, problem))
     return problems
-
-
-def drop_invalid_marks(doc: Iterable[MarkedChar]) -> list[MarkedChar]:
-    """Repair a sequence by stripping whichever marks break the invariants."""
-    repaired = []
-    for c in doc:
-        if c.violation() is None:
-            repaired.append(c)
-            continue
-        if c.letter not in _HEBREW_SET:
-            repaired.append(MarkedChar(letter=c.letter))
-            continue
-        sin = c.sin if c.letter == SHIN else Sin.NONE
-        dagesh = c.dagesh if c.letter in DAGESH_CAPABLE else Dagesh.NONE
-        repaired.append(dataclasses.replace(c, sin=sin, dagesh=dagesh))
-    return repaired

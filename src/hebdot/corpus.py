@@ -2,12 +2,13 @@
 
 A corpus lives on disk as ``<root>/<split>/**/*.txt`` with splits
 ``premodern``, ``modern``, ``validation`` and ``test``.  Files are read as
-UTF-8, normalized to the model alphabet, and repaired where the source data
-carries marks that break the label invariants (noisy scans do).  Everything
+UTF-8 and turned into letters and labels by :func:`codec.parse`, the same
+rule ``hebdot dot`` applies; marks on no letter, and marks a letter cannot
+carry (noisy scans have both), are removed with a warning.  Everything
 downstream works on :class:`Document` values, so loading order and repairs
 are decided here, once.  A document is columnar: its letter stream plus one
-int8 array of codec label values per category, built once at load by
-:meth:`Document.from_chars`; encoding and scoring slice those arrays.
+int8 array of codec label values per category; encoding and scoring slice
+those arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codec import (
+    CATEGORIES,
     DAGESH_CAPABLE,
     DIGIT_SYMBOL,
     GERESH,
@@ -31,17 +33,13 @@ from .codec import (
     NIQQUD_CAPABLE,
     PUNCT_WHITELIST,
     SHIN,
-    _MARK_CLASSES,
     Dagesh,
     MarkedChar,
     Niqqud,
     Sin,
-    char_class,
     compose,
-    decompose,
-    drop_invalid_marks,
-    normalize,
-    validate,
+    parse,
+    strip_diacritics,
 )
 
 __all__ = [
@@ -70,8 +68,6 @@ log = logging.getLogger(__name__)
 SPLITS = ("premodern", "modern", "validation", "test")
 
 MAX_CHUNK_LEN = 80
-
-CATEGORIES = ("niqqud", "dagesh", "sin")
 
 
 class EmptyCorpus(Exception):
@@ -121,33 +117,37 @@ class Document:
         return compose(self.chars)
 
 
-def _from_normalized(norm: str, doc_id: str, source: str) -> Document | None:
-    lead = 0
-    while lead < len(norm) and char_class(norm[lead]) in _MARK_CLASSES:
-        lead += 1
+def load_file(path: Path, doc_id: str, source: str) -> Document | None:
+    """Load one text file; None if nothing usable remains after normalizing.
+
+    Letters and labels are what :func:`codec.parse` reads from the file.
+    Marks before the first kept character, and marks a character cannot
+    carry, are removed with a warning.
+    """
+    raw = path.read_text(encoding="utf-8")
+    letters, labels, ends = parse(raw)
+    head = raw[: ends[0] - 1] if ends else raw
+    lead = len(head) - len(strip_diacritics(head))
     if lead:
         log.warning("%s: dropped %d leading mark(s)", doc_id, lead)
-        norm = normalize(norm[lead:])
-    if not norm:
+    if not letters:
         return None
-    chars = decompose(norm)
-    problems = validate(chars)
-    if problems:
+    legal = decision_masks(letters)
+    bad = np.flatnonzero(
+        np.any([(labels[k] != 0) & ~legal[k] for k in CATEGORIES], axis=0)
+    )
+    if bad.size:
+        at = int(bad[0])
+        first = MarkedChar(letters[at], *(int(labels[k][at]) for k in CATEGORIES))
         log.warning(
             "%s: repaired %d invalid mark placement(s), first at %d: %s",
             doc_id,
-            len(problems),
-            problems[0][0],
-            problems[0][1],
+            bad.size,
+            at,
+            first.violation(),
         )
-        chars = drop_invalid_marks(chars)
-    return Document.from_chars(doc_id, source, chars)
-
-
-def load_file(path: Path, doc_id: str, source: str) -> Document | None:
-    """Load one text file; None if nothing usable remains after normalizing."""
-    raw = path.read_text(encoding="utf-8")
-    return _from_normalized(normalize(raw), doc_id, source)
+        labels = {k: np.where(legal[k], labels[k], np.int8(0)) for k in CATEGORIES}
+    return Document(doc_id, source, letters, labels)
 
 
 def load_dir(directory: Path, source: str) -> list[Document]:

@@ -2,21 +2,19 @@
 
 The raw input is never altered beyond diacritics: every non-mark codepoint
 passes through byte for byte, existing marks are dropped, and predicted
-marks are inserted after their letters.  Internally the text is reduced to
-the model alphabet; an alignment from normalized positions back to raw
-positions carries the predictions home.
+marks are inserted after their letters.  :func:`codec.parse` reduces the
+text to the model alphabet and gives the raw offset after each letter,
+where that letter's marks go.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import codec
-from .codec import marks_of, strip_diacritics
+from .codec import is_hebrew_letter, marks_of, parse, strip_diacritics
 from .corpus import (
     CATEGORIES,
     MAX_CHUNK_LEN,
@@ -30,25 +28,7 @@ from .corpus import (
 )
 from .network import Checkpoint, ModelConfig, forward, load_checkpoint
 
-__all__ = ["INFERENCE_BATCH_SIZE", "AlignmentMap", "Dotter", "decode_labels"]
-
-
-@dataclass(frozen=True)
-class AlignmentMap:
-    """Where each normalized position came from in the raw string.
-
-    ``spans[i]`` is the half-open raw span behind normalized position ``i``;
-    ``removed`` lists raw spans with no normalized counterpart.  Ordered and
-    non-overlapping, together they cover the raw string exactly.
-    """
-
-    spans: tuple[tuple[int, int], ...]
-    removed: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def build(cls, raw: str) -> tuple[str, "AlignmentMap"]:
-        norm, spans, removed = codec.normalize_mapped(raw)
-        return norm, cls(spans=tuple(spans), removed=tuple(removed))
+__all__ = ["INFERENCE_BATCH_SIZE", "Dotter", "decode_labels"]
 
 
 def decode_labels(
@@ -159,19 +139,28 @@ class Dotter:
         else) are preserved untouched in place.
         """
         stripped = strip_diacritics(text)
-        norm, alignment = AlignmentMap.build(stripped)
-        if not any(codec.is_hebrew_letter(ch) for ch in norm):
+        letters, _, ends = parse(stripped)
+        if not any(is_hebrew_letter(ch) for ch in letters):
             return stripped
-        labels = self._label(norm)
+        labels = self._label(letters)
         if keep_existing:
-            labels = _apply_overrides(labels, norm, text)
+            # parse(text) reads the same letters; an input mark wins in its
+            # category.  With the codec's own capability sets the decision
+            # masks are exactly where validate() accepts a mark.
+            have = parse(text)[1]
+            legal = decision_masks(letters)
+            labels = {
+                k: np.where(
+                    legal[k], np.where(have[k] != 0, have[k], labels[k]), np.int8(0)
+                )
+                for k in CATEGORIES
+            }
 
         out: list[str] = []
         done = 0
         marks = map(marks_of, *(labels[k].tolist() for k in CATEGORIES))
-        for pos, mark in enumerate(marks):
+        for end, mark in zip(ends, marks):
             if mark:
-                end = alignment.spans[pos][1]
                 out += (stripped[done:end], mark)
                 done = end
         out.append(stripped[done:])
@@ -188,23 +177,3 @@ class Dotter:
     def dot_document(self, doc: Document) -> Document:
         """Re-dot one loaded document; :meth:`label_documents` for one."""
         return self.label_documents([doc])[0]
-
-
-def _apply_overrides(
-    predicted: dict[str, np.ndarray], letters: str, raw: str
-) -> dict[str, np.ndarray]:
-    """Replace predictions with input marks wherever the input had any, then
-    drop every mark the codec's invariants reject.  Marks that sit on no
-    Hebrew letter are ignored, as plain dotting ignores every input mark."""
-    existing = codec.decompose(codec.normalize(codec.drop_orphan_marks(raw)))
-    if len(existing) != len(letters):
-        # normalization of the marked and stripped text must agree on letters
-        raise codec.InvariantViolation(
-            "input marks do not align with the letter stream"
-        )
-    have = Document.from_chars("<input>", "input", existing).labels
-    merged = {k: np.where(have[k] != 0, have[k], predicted[k]) for k in CATEGORIES}
-    # With the codec's own capability sets, the decision masks are exactly
-    # where validate() accepts a mark.
-    legal = decision_masks(letters)
-    return {k: np.where(legal[k], merged[k], np.int8(0)) for k in CATEGORIES}

@@ -271,6 +271,15 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--corpus", str(tmp_path))
         assert code == 3
 
+    def test_marks_before_first_letter(self, capsys, caplog, tmp_path):
+        # patah, space, qamats, then the word
+        (tmp_path / "modern").mkdir()
+        (tmp_path / "modern" / "lead.txt").write_text("ַ ָשלום", encoding="utf-8")
+        code, stdout, _ = run(capsys, "stats", "--corpus", str(tmp_path))
+        assert code == 0
+        assert stdout.splitlines() == ["modern\t1\t1\t4"]
+        assert any("leading mark" in r.message for r in caplog.records)
+
 
 class TestGradcheck:
     def test_pass(self, capsys):

@@ -1,8 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hebdot import codec
 from hebdot.codec import (
     BKP_LETTERS,
     DAGESH_CAPABLE,
@@ -21,14 +21,16 @@ from hebdot.codec import (
     char_class,
     compose,
     decompose,
-    drop_orphan_marks,
     is_shin,
     normalize,
-    normalize_mapped,
+    parse,
     strip_diacritics,
     validate,
     vocalization_signature,
 )
+from hebdot.corpus import CATEGORIES, decision_masks
+
+from codec_oracle import drop_orphan_marks, normalize_mapped
 
 QAMATS = "ָ"
 PATAH = "ַ"
@@ -129,21 +131,6 @@ class TestNormalize:
     def test_idempotent(self, text):
         once = normalize(text)
         assert normalize(once) == once
-
-    @given(st.text(max_size=80))
-    @settings(max_examples=200)
-    def test_mapped_covers_input(self, text):
-        norm, spans, removed = normalize_mapped(text)
-        assert len(spans) == len(norm)
-        covered = sorted(
-            [p for s, e in spans for p in range(s, e)]
-            + [p for s, e in removed for p in range(s, e)]
-        )
-        assert covered == list(range(len(text)))
-        # spans ordered and non-overlapping
-        flat = sorted(spans + removed)
-        for (s1, e1), (s2, e2) in zip(flat, flat[1:]):
-            assert e1 <= s2
 
 
 class TestDecompose:
@@ -280,6 +267,134 @@ class TestDropOrphanMarks:
         assert "".join(c.letter for c in chars) == normalize(strip_diacritics(text))
 
 
+# Every label, folded and dropped mark from sheva to qamats qatan, with the
+# few punctuation and removed code points among them, plus one cantillation.
+MARK_BLOCK = "".join(chr(c) for c in range(0x05B0, 0x05C8)) + "\u0591"
+
+# Any string, drawn mostly from what parse must handle with care: marks in
+# every position, duplicate marks, whitespace runs, an astral and a removed
+# code point (U+200F), punctuation, digits and Latin.
+marked_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list("אבשכר  \t\n.,a1\U0001f600\u200f")),
+        st.sampled_from(list(MARK_BLOCK)),
+        st.characters(),
+    ),
+    max_size=60,
+)
+
+
+def check_ends(text, letters, ends):
+    """ends has one offset per letter, rising strictly inside the text, and
+    each points just past the raw character that produced its letter."""
+    assert len(ends) == len(letters)
+    assert all(1 <= e <= len(text) for e in ends)
+    assert all(a < b for a, b in zip(ends, ends[1:]))
+    for letter, end in zip(letters, ends):
+        raw = text[end - 1]
+        if letter == " ":
+            assert raw.isspace()
+        else:
+            assert normalize(raw) == letter
+
+
+class TestParse:
+    def test_reference_word(self):
+        letters, labels, ends = parse("שָׁלוֹם")
+        assert letters == "שלום"
+        assert ends == [1, 4, 5, 7]  # just past each base character
+        assert labels["niqqud"].tolist() == [Niqqud.QAMATS, 0, Niqqud.HOLAM, 0]
+        assert labels["dagesh"].tolist() == [0, 0, 0, 0]
+        assert labels["sin"].tolist() == [Sin.SHIN_DOT, 0, 0, 0]
+        assert all(labels[k].dtype == np.int8 for k in CATEGORIES)
+
+    def test_duplicate_mark_last_wins(self):
+        assert parse("ב" + PATAH + QAMATS)[1]["niqqud"].tolist() == [Niqqud.QAMATS]
+        assert parse("ב" + QAMATS + PATAH)[1]["niqqud"].tolist() == [Niqqud.PATAH]
+        assert parse("ש" + SIN_DOT + SHIN_DOT)[1]["sin"].tolist() == [Sin.SHIN_DOT]
+
+    def test_mark_order_does_not_matter(self):
+        a = parse("ש" + QAMATS + DAGESH_CH + SHIN_DOT)[1]
+        b = parse("ש" + SHIN_DOT + QAMATS + DAGESH_CH)[1]
+        assert all(a[k].tolist() == b[k].tolist() for k in CATEGORIES)
+
+    def test_folds(self):
+        assert parse("א" + QAMATS_QATAN)[1]["niqqud"].tolist() == [Niqqud.QAMATS]
+        assert parse("ו" + HOLAM_HASER_VAV)[1]["niqqud"].tolist() == [Niqqud.HOLAM]
+
+    def test_dropped_marks(self):
+        for text in ("א" + QAMATS + METEG, "א" + METEG + QAMATS, "א" + RAFE + QAMATS + "֑"):
+            letters, labels, ends = parse(text)
+            assert (letters, ends) == ("א", [1])
+            assert labels["niqqud"].tolist() == [Niqqud.QAMATS]
+
+    def test_marks_never_split_whitespace(self):
+        # a leading mark, or one after leading whitespace, has no character
+        assert parse(PATAH + " " + QAMATS + "שלום")[0] == "שלום"
+        letters, labels, ends = parse("א " + QAMATS + " ב")
+        assert (letters, ends) == ("א ב", [1, 2, 5])
+        # the mark sits on the space, where no decision mask admits it
+        assert labels["niqqud"].tolist() == [0, Niqqud.QAMATS, 0]
+        assert parse("א " + QAMATS)[0] == "א"
+        assert parse("א " + QAMATS + " ")[1]["niqqud"].tolist() == [0]
+
+    def test_removed_characters_do_not_detach_marks(self):
+        letters, labels, ends = parse("ש😀" + QAMATS)
+        assert (letters, ends) == ("ש", [1])
+        assert labels["niqqud"].tolist() == [Niqqud.QAMATS]
+
+    def test_empty(self):
+        for text in ("", "   ", QAMATS, " " + METEG + "😀 "):
+            letters, labels, ends = parse(text)
+            assert (letters, ends) == ("", [])
+            assert all(labels[k].shape == (0,) for k in CATEGORIES)
+
+    def test_identity_on_clean_text(self):
+        raw = "שלום עולם"
+        letters, labels, ends = parse(raw)
+        assert letters == raw
+        assert ends == list(range(1, len(raw) + 1))
+        assert all(not labels[k].any() for k in CATEGORIES)
+
+    def test_ends_on_messy_text(self):
+        raw = "  שלום,   עולם—טוב  "
+        letters, _, ends = parse(raw)
+        assert letters == normalize(raw) == "שלום, עולם-טוב"
+        assert ends == [3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 17, 18]
+        check_ends(raw, letters, ends)
+
+    @given(marked_text)
+    @settings(max_examples=300)
+    def test_ends_cover_input(self, text):
+        letters, labels, ends = parse(text)
+        assert letters == normalize(strip_diacritics(text))
+        assert all(labels[k].shape == (len(letters),) for k in CATEGORIES)
+        check_ends(text, letters, ends)
+
+    @given(marked_text)
+    @settings(max_examples=300)
+    def test_stripped_matches_oracle(self, text):
+        stripped = strip_diacritics(text)
+        letters, labels, ends = parse(stripped)
+        norm, spans, _ = normalize_mapped(stripped)
+        assert letters == norm
+        assert ends == [end for _, end in spans]
+        assert all(not labels[k].any() for k in CATEGORIES)
+
+    @given(marked_text)
+    @settings(max_examples=300)
+    def test_labels_match_oracle(self, text):
+        letters, labels, _ = parse(text)
+        chars = decompose(normalize(drop_orphan_marks(text)))
+        assert "".join(c.letter for c in chars) == letters
+        legal = decision_masks(letters)
+        for k in CATEGORIES:
+            want = np.array([getattr(c, k) for c in chars], np.int8)
+            assert np.array_equal(
+                np.where(legal[k], labels[k], 0), np.where(legal[k], want, 0)
+            ), k
+
+
 class TestPredicates:
     def test_dagesh_exclusions(self):
         for ch in "אחערםןףץ":
@@ -362,13 +477,3 @@ class TestValidateRepair:
         ]
         problems = validate(seq)
         assert [p[0] for p in problems] == [0, 2]
-
-    def test_repair_drops_only_bad_marks(self):
-        seq = [
-            MarkedChar("ר", niqqud=Niqqud.PATAH, dagesh=Dagesh.DAGESH),
-            MarkedChar("a", niqqud=Niqqud.PATAH),
-        ]
-        fixed = codec.drop_invalid_marks(seq)
-        assert fixed[0] == MarkedChar("ר", niqqud=Niqqud.PATAH)
-        assert fixed[1] == MarkedChar("a")
-        assert validate(fixed) == []

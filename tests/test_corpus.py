@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hebdot.codec import DAGESH_CAPABLE, NIQQUD_CAPABLE, compose, decompose, normalize
+from hebdot.codec import (
+    DAGESH_CAPABLE,
+    NIQQUD_CAPABLE,
+    Niqqud,
+    compose,
+    decompose,
+    normalize,
+    strip_diacritics,
+)
 from hebdot.corpus import (
     CATEGORIES,
     MAX_CHUNK_LEN,
@@ -18,6 +26,7 @@ from hebdot.corpus import (
     hebrew_token_count,
     load_corpus,
     load_dir,
+    load_file,
     make_batches,
     split_stats,
     token_spans,
@@ -78,6 +87,45 @@ class TestLoading:
             docs = load_dir(tmp_path, source="x")
         assert docs[0].letters == "שלום"
         assert any("leading" in r.message for r in caplog.records)
+
+    def test_repair_drops_only_bad_marks(self, tmp_path, caplog):
+        # patah stays on resh, its dagesh goes; the patah on a Latin letter goes
+        path = tmp_path / "noisy.txt"
+        path.write_text("רַּ aַ", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            doc = load_file(path, "noisy", "x")
+        assert doc.letters == "ר @"
+        assert doc.labels["niqqud"].tolist() == [Niqqud.PATAH, 0, 0]
+        assert not doc.labels["dagesh"].any() and not doc.labels["sin"].any()
+        assert any("repaired 2" in r.message for r in caplog.records)
+
+    def test_marks_on_no_letter_dropped(self, tmp_path, caplog):
+        # patah, space, qamats before the first letter; a mark between spaces
+        path = tmp_path / "orphans.txt"
+        path.write_text("ַ ָשלום " + "ָ" + " עולם " + "ָ", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            doc = load_file(path, "orphans", "x")
+        assert doc.letters == "שלום עולם"
+        assert not any(doc.labels[k].any() for k in CATEGORIES)
+        assert any("dropped 2 leading" in r.message for r in caplog.records)
+
+    @given(
+        st.text(
+            # letters, whitespace, punctuation, Latin, a digit, an astral and a
+            # removed code point, label marks, then meteg, rafe, cantillation
+            alphabet="אבשכר \t\n.,!a1😀\u200f"
+            + "\u05b7\u05b8\u05bc\u05c1\u05c2"
+            + "\u05bd\u05bf\u0591",
+            max_size=40,
+        )
+    )
+    def test_letters_are_what_dot_sees(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("prop") / "doc.txt"
+        path.write_bytes(text.encode("utf-8"))
+        raw = path.read_text(encoding="utf-8")
+        want = normalize(strip_diacritics(raw))
+        doc = load_file(path, "doc", "x")
+        assert (doc.letters if doc else "") == want
 
     def test_nested_dirs(self, tmp_path):
         sub = tmp_path / "a" / "b"

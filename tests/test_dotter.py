@@ -25,7 +25,7 @@ from hebdot.corpus import (
     load_corpus,
     make_batches,
 )
-from hebdot.dotter import AlignmentMap, Dotter, decode_labels
+from hebdot.dotter import Dotter, decode_labels
 from hebdot.network import Checkpoint, ModelConfig, forward, init_params, load_checkpoint
 
 
@@ -37,25 +37,6 @@ SAMPLES = [
     " offices בתל־אביב יש",
     "שָׁלוֹם שכבר מנוקד",
 ]
-
-
-class TestAlignmentMap:
-    def test_covers_raw_exactly(self):
-        raw = "  שלום,   עולם—טוב  "
-        norm, amap = AlignmentMap.build(raw)
-        assert norm == normalize(raw)
-        taken = sorted(list(amap.spans) + list(amap.removed))
-        # contiguous, non-overlapping, full cover
-        assert taken[0][0] == 0 and taken[-1][1] == len(raw)
-        assert all(a[1] == b[0] for a, b in zip(taken, taken[1:]))
-        assert len(amap.spans) == len(norm)
-
-    def test_identity_on_clean_text(self):
-        raw = "שלום עולם"
-        norm, amap = AlignmentMap.build(raw)
-        assert norm == raw
-        assert amap.spans == tuple((i, i + 1) for i in range(len(raw)))
-        assert amap.removed == ()
 
 
 class TestDecodeLabels:
