@@ -1,7 +1,7 @@
 """hebdot: learn and apply Hebrew diacritics, character by character.
 
-The pieces, bottom up: :mod:`hebdot.codec` turns text into per-character
-label sequences and back, :mod:`hebdot.corpus` loads and chunks training
+The pieces, bottom up: :mod:`hebdot.codec` turns text into letters and
+label arrays and back, :mod:`hebdot.corpus` loads and chunks training
 data, :mod:`hebdot.network` holds the numpy BiLSTM with its gradients and
 checkpoints, :mod:`hebdot.trainer` runs the optimization,
 :mod:`hebdot.dotter` dots new text with a trained model, and
@@ -9,16 +9,7 @@ checkpoints, :mod:`hebdot.trainer` runs the optimization,
 the command line.
 """
 
-from .codec import (
-    Dagesh,
-    MarkedChar,
-    Niqqud,
-    Sin,
-    compose,
-    decompose,
-    normalize,
-    strip_diacritics,
-)
+from .codec import Dagesh, Niqqud, Sin, parse, strip_diacritics
 from .corpus import Document, Vocabulary, load_corpus
 from .dotter import Dotter
 from .metrics import evaluate
@@ -29,12 +20,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dagesh",
-    "MarkedChar",
     "Niqqud",
     "Sin",
-    "compose",
-    "decompose",
-    "normalize",
+    "parse",
     "strip_diacritics",
     "Document",
     "Vocabulary",

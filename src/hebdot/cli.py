@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import InvariantViolation, LeadingMarkError
 from .corpus import SPLITS, EmptyCorpus, load_corpus, load_dir, split_stats
 from .dotter import INFERENCE_BATCH_SIZE, Dotter
 from .metrics import LetterStreamMismatch, evaluate, render_report
@@ -278,8 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         EmptyCorpus,
         LetterStreamMismatch,
-        LeadingMarkError,
-        InvariantViolation,
         UnicodeDecodeError,
         OSError,
         ValueError,

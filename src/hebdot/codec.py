@@ -1,25 +1,21 @@
 """Character-level codec for dotted Hebrew text.
 
-:func:`parse` is the one rule from raw text to what the model sees: the
-normalized letter stream, one int8 label array per category (a vowel mark
-or niqqud, a dagesh/mappiq dot, the shin/sin dot) and where each letter
-ends in the raw text.  Corpus loading and dotting both read it.
-:func:`normalize`, :func:`decompose` and :func:`compose` convert between
-text and per-character :class:`MarkedChar` values; all three and ``parse``
-classify code points through one lazily filled table.  Also home to the
-character-class predicates (``can_dagesh``, ``can_niqqud``, ``is_shin``)
-that the rest of the pipeline uses to decide which classification slots
-exist for a given letter.
+A text is a letter stream plus one int8 label array per category (a vowel
+mark or niqqud, a dagesh/mappiq dot, the shin/sin dot).  :func:`parse` is
+the one rule from raw text to that form: the normalized letters, their
+labels and where each letter ends in the raw text.  :func:`insert_marks` is
+the one rule back, putting each letter's marks after it.  Corpus loading,
+dotting and rendering all go through the two.  ``parse`` classifies code
+points through one lazily filled table, and :func:`strip_diacritics`
+removes what that table calls a mark.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import string
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, NamedTuple
+from typing import Sequence
 
 import numpy as np
 
@@ -28,11 +24,6 @@ __all__ = [
     "Niqqud",
     "Dagesh",
     "Sin",
-    "VowelClass",
-    "MarkedChar",
-    "VocalSignature",
-    "LeadingMarkError",
-    "InvariantViolation",
     "HEBREW_LETTERS",
     "PUNCT_WHITELIST",
     "DIGIT_SYMBOL",
@@ -43,26 +34,10 @@ __all__ = [
     "CATEGORIES",
     "char_class",
     "parse",
-    "normalize",
-    "decompose",
-    "compose",
     "marks_of",
+    "insert_marks",
     "strip_diacritics",
-    "can_dagesh",
-    "can_niqqud",
-    "is_shin",
-    "is_hebrew_letter",
-    "vocalization_signature",
-    "validate",
 ]
-
-
-class LeadingMarkError(ValueError):
-    """A combining mark appeared before any base character."""
-
-
-class InvariantViolation(ValueError):
-    """A MarkedChar sequence breaks the label invariants."""
 
 
 # The 27 letter forms (22 letters + 5 finals), U+05D0..U+05EA.
@@ -224,7 +199,7 @@ def _is_latin_letter(ch: str) -> bool:
     return 0xC0 <= cp <= 0x24F and unicodedata.category(ch).startswith("L")
 
 
-# The label categories, in the order of MarkedChar's fields and of the
+# The label categories, in the order of marks_of's arguments and of the
 # label arrays parse returns.
 CATEGORIES = ("niqqud", "dagesh", "sin")
 
@@ -269,9 +244,12 @@ _TABLE = _Table()
 def parse(text: str) -> tuple[str, dict[str, np.ndarray], list[int]]:
     """Turn raw text into letters, labels and offsets in one pass.
 
-    Returns ``(letters, labels, ends)``: ``letters`` is
-    ``normalize(strip_diacritics(text))``; ``labels`` maps each category of
-    CATEGORIES to an int8 array with one codec label value per letter; and
+    Returns ``(letters, labels, ends)``.  ``letters`` is the text in the
+    model alphabet: Hebrew letters, single spaces and whitelisted
+    punctuation, with digits and Latin letters as one placeholder symbol
+    each; everything else is removed, and whitespace runs collapse to one
+    space with none at either end.  ``labels`` maps each category of
+    CATEGORIES to an int8 array with one codec label value per letter, and
     ``text[ends[i] - 1]`` is the raw character behind ``letters[i]``, so
     ``ends`` rises strictly and is the identity plus one on clean text.
 
@@ -310,102 +288,6 @@ def parse(text: str) -> tuple[str, dict[str, np.ndarray], list[int]]:
     return "".join(out), dict(zip(CATEGORIES, labels)), ends
 
 
-def normalize(raw: str) -> str:
-    """Reduce text to the model alphabet.
-
-    Keeps Hebrew letters, their diacritic marks, single spaces and
-    whitelisted punctuation; digits and Latin letters become one placeholder
-    symbol each; everything else is removed.  Runs of whitespace collapse to
-    one space and the result carries no leading/trailing space.
-    """
-    out: list[str] = []
-    for ch in raw:
-        kind, value = _TABLE[ch]
-        if kind == _BASE:
-            out.append(value)
-        elif kind == _MARK:
-            out.append(ch)
-        elif kind == _SPACE and out and out[-1] != " ":
-            out.append(" ")
-    if out and out[-1] == " ":
-        out.pop()
-    return "".join(out)
-
-
-@dataclass(frozen=True, slots=True)
-class MarkedChar:
-    """One base character with its three diacritic labels.
-
-    Invariants (checked by :func:`validate`, enforced by :func:`compose`):
-    only Hebrew letters carry labels, a sin/shin dot requires the letter
-    shin, and a dagesh requires a dagesh-capable letter.
-    """
-
-    letter: str
-    niqqud: Niqqud = Niqqud.NONE
-    dagesh: Dagesh = Dagesh.NONE
-    sin: Sin = Sin.NONE
-
-    def violation(self) -> str | None:
-        """Describe the first broken invariant, or None if the char is valid."""
-        if len(self.letter) != 1:
-            return f"letter must be a single character, got {self.letter!r}"
-        if self.letter not in _HEBREW_SET:
-            if self.niqqud or self.dagesh or self.sin:
-                return f"marks on non-Hebrew character {self.letter!r}"
-            return None
-        if self.sin != Sin.NONE and self.letter != SHIN:
-            return f"sin/shin dot on {self.letter!r}"
-        if self.dagesh != Dagesh.NONE and self.letter not in DAGESH_CAPABLE:
-            return f"dagesh on {self.letter!r}"
-        return None
-
-
-def is_hebrew_letter(ch: str) -> bool:
-    return ch in _HEBREW_SET
-
-
-def is_shin(ch: str) -> bool:
-    return ch == SHIN
-
-
-def can_dagesh(ch: str, capable: frozenset[str] | None = None) -> bool:
-    return ch in (DAGESH_CAPABLE if capable is None else capable)
-
-
-def can_niqqud(ch: str, capable: frozenset[str] | None = None) -> bool:
-    return ch in (NIQQUD_CAPABLE if capable is None else capable)
-
-
-def decompose(dotted: str) -> list[MarkedChar]:
-    """Split dotted text into one MarkedChar per base character.
-
-    Marks attach to the nearest preceding base character, whatever their
-    order after it; duplicate marks of one category keep the last
-    occurrence; folded codepoints (qamats qatan, holam haser for vav) are
-    mapped to their label, and meteg/rafe/cantillation are dropped.
-
-    Illegal combinations (a sin dot on bet, say) are NOT rejected here: they
-    are representable and surfaced later by :func:`validate`.
-
-    Raises LeadingMarkError if a combining mark precedes any base character.
-    """
-    chars: list[MarkedChar] = []
-    for i, ch in enumerate(dotted):
-        kind, value = _TABLE[ch]
-        if kind == _MARK or kind == _DROPPED:
-            if not chars:
-                raise LeadingMarkError(
-                    f"combining mark U+{ord(ch):04X} at position {i} precedes any base character"
-                )
-            if kind == _MARK:
-                category, label = value
-                chars[-1] = dataclasses.replace(chars[-1], **{CATEGORIES[category]: label})
-        else:
-            chars.append(MarkedChar(letter=ch))
-    return chars
-
-
 def marks_of(niqqud: int, dagesh: int, sin: int) -> str:
     """Marks for one letter's labels in canonical order: dagesh, sin dot, niqqud."""
     parts = []
@@ -418,94 +300,36 @@ def marks_of(niqqud: int, dagesh: int, sin: int) -> str:
     return "".join(parts)
 
 
-def compose(chars: Iterable[MarkedChar]) -> str:
-    """Inverse of :func:`decompose`; marks come out in the canonical order.
 
-    Raises InvariantViolation if any input MarkedChar breaks its invariants.
+
+def insert_marks(
+    text: str, ends: Sequence[int], labels: dict[str, np.ndarray]
+) -> str:
+    """Put each letter's marks into ``text`` just past the letter.
+
+    ``ends[i]`` is the offset in ``text`` after the character behind letter
+    ``i``, as :func:`parse` returns it, and ``labels`` holds one label array
+    per category of CATEGORIES.  The marks come out in the order of
+    :func:`marks_of`; every character of ``text`` passes through in place.
     """
-    parts: list[str] = []
-    for i, c in enumerate(chars):
-        problem = c.violation()
-        if problem is not None:
-            raise InvariantViolation(f"position {i}: {problem}")
-        parts.append(c.letter)
-        parts.append(marks_of(c.niqqud, c.dagesh, c.sin))
-    return "".join(parts)
+    out: list[str] = []
+    done = 0
+    marks = map(marks_of, *(labels[k].tolist() for k in CATEGORIES))
+    for end, mark in zip(ends, marks):
+        if mark:
+            out += (text[done:end], mark)
+            done = end
+    out.append(text[done:])
+    return "".join(out)
 
 
-_MARK_CLASSES = (
-    CharClass.NIQQUD_MARK,
-    CharClass.DAGESH_MARK,
-    CharClass.SIN_SHIN_MARK,
-    CharClass.DROPPED_MARK,
-)
-
+# Every code point parse reads as a mark, label or dropped; the diacritics
+# all sit in this range.
 _STRIP_TABLE = {
-    cp: None
-    for cp in range(0x0591, 0x05C8)
-    if char_class(chr(cp)) in _MARK_CLASSES
+    cp: None for cp in range(0x0591, 0x05C8) if _TABLE[chr(cp)][0] in (_MARK, _DROPPED)
 }
 
 
 def strip_diacritics(text: str) -> str:
     """Remove every diacritic codepoint; all other characters pass through."""
     return text.translate(_STRIP_TABLE)
-
-
-class VowelClass(Enum):
-    A = "a"
-    E = "e"
-    I = "i"
-    O = "o"
-    U = "u"
-    NULL = "null"
-
-
-_VOWEL_CLASS = {
-    Niqqud.NONE: VowelClass.NULL,
-    Niqqud.SHEVA: VowelClass.NULL,
-    Niqqud.PATAH: VowelClass.A,
-    Niqqud.QAMATS: VowelClass.A,
-    Niqqud.HATAF_PATAH: VowelClass.A,
-    Niqqud.TSERE: VowelClass.E,
-    Niqqud.SEGOL: VowelClass.E,
-    Niqqud.HATAF_SEGOL: VowelClass.E,
-    Niqqud.HIRIQ: VowelClass.I,
-    Niqqud.HOLAM: VowelClass.O,
-    Niqqud.HATAF_QAMATS: VowelClass.O,
-    Niqqud.QUBUTS: VowelClass.U,
-}
-
-
-class VocalSignature(NamedTuple):
-    """What a reader would pronounce: vowel set, sin dot, and dagesh on b/k/p."""
-
-    vowel: VowelClass
-    sin: Sin | None
-    bkp_dagesh: bool | None
-
-
-def vocalization_signature(c: MarkedChar) -> VocalSignature:
-    """Pronunciation-relevant reduction of one character's labels.
-
-    The vowel collapses to its a/e/i/o/u/null class (sheva counts as null);
-    the sin field matters only on shin, and the dagesh only on the b/k/p
-    letters where it selects the consonant.
-    """
-    if c.letter not in _HEBREW_SET:
-        raise ValueError(f"vocalization signature of non-Hebrew {c.letter!r}")
-    return VocalSignature(
-        vowel=_VOWEL_CLASS[c.niqqud],
-        sin=c.sin if c.letter == SHIN else None,
-        bkp_dagesh=(c.dagesh != Dagesh.NONE) if c.letter in BKP_LETTERS else None,
-    )
-
-
-def validate(doc: Iterable[MarkedChar]) -> list[tuple[int, str]]:
-    """Report every invariant violation as (position, message).  Pure."""
-    problems = []
-    for i, c in enumerate(doc):
-        problem = c.violation()
-        if problem is not None:
-            problems.append((i, problem))
-    return problems

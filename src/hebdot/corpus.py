@@ -2,13 +2,14 @@
 
 A corpus lives on disk as ``<root>/<split>/**/*.txt`` with splits
 ``premodern``, ``modern``, ``validation`` and ``test``.  Files are read as
-UTF-8 and turned into letters and labels by :func:`codec.parse`, the same
-rule ``hebdot dot`` applies; marks on no letter, and marks a letter cannot
-carry (noisy scans have both), are removed with a warning.  Everything
-downstream works on :class:`Document` values, so loading order and repairs
-are decided here, once.  A document is columnar: its letter stream plus one
-int8 array of codec label values per category; encoding and scoring slice
-those arrays.
+UTF-8 and turned into letters and labels by :meth:`Document.from_text`,
+which reads them with :func:`codec.parse`, the same rule ``hebdot dot``
+applies; marks on no letter, and marks a letter cannot carry (noisy scans
+have both), are removed with a warning.  Everything downstream works on
+:class:`Document` values, so loading order and repairs are decided here,
+once.  A document is columnar: its letter stream plus one int8 array of
+codec label values per category; encoding and scoring slice those arrays,
+and :func:`codec.insert_marks` renders them back into dotted text.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ from .codec import (
     NIQQUD_CAPABLE,
     PUNCT_WHITELIST,
     SHIN,
-    Dagesh,
-    MarkedChar,
-    Niqqud,
-    Sin,
-    compose,
+    insert_marks,
     parse,
     strip_diacritics,
 )
@@ -79,7 +76,7 @@ class Document:
     """One loaded text: id (relative path without suffix), the split it came
     from, its letter stream, and ``labels``: per category of CATEGORIES an
     int8 array of codec label values, one per letter, shared and read-only.
-    ``chars`` and ``text`` are views derived from the arrays on first use."""
+    ``text`` renders the arrays as dotted text on first use."""
 
     id: str
     source: str
@@ -92,62 +89,43 @@ class Document:
             raise ValueError(f"{self.id}: label arrays must match the letters")
 
     @classmethod
-    def from_chars(
-        cls, id: str, source: str, chars: Iterable[MarkedChar]
-    ) -> "Document":
-        """Columnar document from a per-letter label sequence."""
-        chars = tuple(chars)
-        labels = {
-            k: np.array([getattr(c, k) for c in chars], np.int8) for k in CATEGORIES
-        }
-        return cls(id, source, "".join(c.letter for c in chars), labels)
-
-    @cached_property
-    def chars(self) -> tuple[MarkedChar, ...]:
-        """One MarkedChar per letter."""
-        niq, dag, sin = (self.labels[k].tolist() for k in CATEGORIES)
-        return tuple(
-            MarkedChar(ch, Niqqud(n), Dagesh(d), Sin(s))
-            for ch, n, d, s in zip(self.letters, niq, dag, sin)
-        )
+    def from_text(cls, id: str, source: str, raw: str) -> "Document":
+        """Document of raw dotted text: letters and labels as
+        :func:`codec.parse` reads them.  Marks before the first kept
+        character, and marks a character cannot carry, are removed with a
+        warning."""
+        letters, labels, ends = parse(raw)
+        head = raw[: ends[0] - 1] if ends else raw
+        lead = len(head) - len(strip_diacritics(head))
+        if lead:
+            log.warning("%s: dropped %d leading mark(s)", id, lead)
+        legal = decision_masks(letters)
+        illegal = {k: (labels[k] != 0) & ~legal[k] for k in CATEGORIES}
+        bad = np.flatnonzero(np.any(list(illegal.values()), axis=0))
+        if bad.size:
+            at = int(bad[0])
+            log.warning(
+                "%s: repaired %d invalid mark placement(s), first at %d: %s on %r",
+                id,
+                bad.size,
+                at,
+                next(k for k in CATEGORIES if illegal[k][at]),
+                letters[at],
+            )
+            labels = {k: np.where(legal[k], labels[k], np.int8(0)) for k in CATEGORIES}
+        return cls(id, source, letters, labels)
 
     @cached_property
     def text(self) -> str:
-        """The canonical dotted text."""
-        return compose(self.chars)
+        """The canonical dotted text: each letter, then its marks."""
+        return insert_marks(self.letters, range(1, len(self.letters) + 1), self.labels)
 
 
 def load_file(path: Path, doc_id: str, source: str) -> Document | None:
-    """Load one text file; None if nothing usable remains after normalizing.
-
-    Letters and labels are what :func:`codec.parse` reads from the file.
-    Marks before the first kept character, and marks a character cannot
-    carry, are removed with a warning.
-    """
-    raw = path.read_text(encoding="utf-8")
-    letters, labels, ends = parse(raw)
-    head = raw[: ends[0] - 1] if ends else raw
-    lead = len(head) - len(strip_diacritics(head))
-    if lead:
-        log.warning("%s: dropped %d leading mark(s)", doc_id, lead)
-    if not letters:
-        return None
-    legal = decision_masks(letters)
-    bad = np.flatnonzero(
-        np.any([(labels[k] != 0) & ~legal[k] for k in CATEGORIES], axis=0)
-    )
-    if bad.size:
-        at = int(bad[0])
-        first = MarkedChar(letters[at], *(int(labels[k][at]) for k in CATEGORIES))
-        log.warning(
-            "%s: repaired %d invalid mark placement(s), first at %d: %s",
-            doc_id,
-            bad.size,
-            at,
-            first.violation(),
-        )
-        labels = {k: np.where(legal[k], labels[k], np.int8(0)) for k in CATEGORIES}
-    return Document(doc_id, source, letters, labels)
+    """Load one text file with :meth:`Document.from_text`; None if nothing
+    usable remains after normalizing."""
+    doc = Document.from_text(doc_id, source, path.read_text(encoding="utf-8"))
+    return doc if doc.letters else None
 
 
 def load_dir(directory: Path, source: str) -> list[Document]:

@@ -3,8 +3,10 @@
 The raw input is never altered beyond diacritics: every non-mark codepoint
 passes through byte for byte, existing marks are dropped, and predicted
 marks are inserted after their letters.  :func:`codec.parse` reduces the
-text to the model alphabet and gives the raw offset after each letter,
-where that letter's marks go.
+text to the model alphabet and gives the raw offset after each letter, and
+:func:`codec.insert_marks` puts that letter's marks there.  Loaded
+documents are relabelled in shared, length-sorted batches by
+:meth:`Dotter.label_documents`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codec import is_hebrew_letter, marks_of, parse, strip_diacritics
+from .codec import _HEBREW_SET, insert_marks, parse, strip_diacritics
 from .corpus import (
     CATEGORIES,
     MAX_CHUNK_LEN,
@@ -140,13 +142,12 @@ class Dotter:
         """
         stripped = strip_diacritics(text)
         letters, _, ends = parse(stripped)
-        if not any(is_hebrew_letter(ch) for ch in letters):
+        if _HEBREW_SET.isdisjoint(letters):
             return stripped
         labels = self._label(letters)
         if keep_existing:
             # parse(text) reads the same letters; an input mark wins in its
-            # category.  With the codec's own capability sets the decision
-            # masks are exactly where validate() accepts a mark.
+            # category wherever the codec's own decision masks admit it.
             have = parse(text)[1]
             legal = decision_masks(letters)
             labels = {
@@ -155,16 +156,7 @@ class Dotter:
                 )
                 for k in CATEGORIES
             }
-
-        out: list[str] = []
-        done = 0
-        marks = map(marks_of, *(labels[k].tolist() for k in CATEGORIES))
-        for end, mark in zip(ends, marks):
-            if mark:
-                out += (stripped[done:end], mark)
-                done = end
-        out.append(stripped[done:])
-        return "".join(out)
+        return insert_marks(stripped, ends, labels)
 
     def dot_stream(
         self, lines: Iterable[str], keep_existing: bool = False
@@ -173,7 +165,3 @@ class Dotter:
         newlines pass through like any other non-mark."""
         for line in lines:
             yield self.dot(line, keep_existing=keep_existing)
-
-    def dot_document(self, doc: Document) -> Document:
-        """Re-dot one loaded document; :meth:`label_documents` for one."""
-        return self.label_documents([doc])[0]

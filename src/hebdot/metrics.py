@@ -5,9 +5,10 @@ on a character to agree; WOR requires every character of a token to agree;
 VOC relaxes WOR to pronunciation, so marks that read identically (qamats
 versus patah, sheva versus nothing) do not count as errors.
 
-Gold and prediction are compared strictly position by position, which only
-makes sense when their letter streams are identical; any divergence raises
-rather than producing a silently shifted score.
+:func:`score_document` computes all four from the two documents' label
+arrays at once.  Gold and prediction are compared strictly position by
+position, which only makes sense when their letter streams are identical;
+any divergence raises rather than producing a silently shifted score.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import BKP_LETTERS, _VOWEL_CLASS, MarkedChar, Niqqud, VowelClass
+from .codec import BKP_LETTERS, Niqqud
 from .corpus import Document, decision_masks, letter_mask, token_spans
 
 __all__ = [
@@ -26,11 +27,6 @@ __all__ = [
     "DocScores",
     "Report",
     "METRIC_NAMES",
-    "align",
-    "dec",
-    "cha",
-    "wor",
-    "voc",
     "score_document",
     "evaluate",
     "render_report",
@@ -74,33 +70,6 @@ def _check_letters(gold: Document, pred: Document) -> None:
         )
 
 
-def align(gold: Document, pred: Document) -> list[tuple[MarkedChar, MarkedChar]]:
-    """Pair up characters, or pinpoint where the letter streams diverge."""
-    _check_letters(gold, pred)
-    return list(zip(gold.chars, pred.chars))
-
-
-def dec(gold: Document, pred: Document) -> Counts:
-    """Every decision scored independently."""
-    return score_document(gold, pred).dec
-
-
-def cha(gold: Document, pred: Document) -> Counts:
-    """Characters with at least one decision, all of which must agree."""
-    return score_document(gold, pred).cha
-
-
-def wor(gold: Document, pred: Document) -> Counts:
-    """Whole tokens: every decision on every character must agree."""
-    return score_document(gold, pred).wor
-
-
-def voc(gold: Document, pred: Document) -> Counts:
-    """Whole tokens up to pronunciation.  Never below WOR: exact label
-    agreement implies equal signatures."""
-    return score_document(gold, pred).voc
-
-
 @dataclass(frozen=True)
 class DocScores:
     doc_id: str
@@ -113,8 +82,14 @@ class DocScores:
         return getattr(self, name)
 
 
-# Index of each niqqud label value's vowel class, for vectorised compares.
-_VOWEL_IDS = np.array([list(VowelClass).index(_VOWEL_CLASS[n]) for n in Niqqud])
+# The vowel a reader hears for each niqqud label value, indexed by the
+# value: 0 for none (no mark, sheva), then a, e, i, o and u as 1 to 5.
+_VOWEL_CLASS = np.zeros(len(Niqqud), np.int8)
+_VOWEL_CLASS[[Niqqud.PATAH, Niqqud.QAMATS, Niqqud.HATAF_PATAH]] = 1
+_VOWEL_CLASS[[Niqqud.TSERE, Niqqud.SEGOL, Niqqud.HATAF_SEGOL]] = 2
+_VOWEL_CLASS[Niqqud.HIRIQ] = 3
+_VOWEL_CLASS[[Niqqud.HOLAM, Niqqud.HATAF_QAMATS]] = 4
+_VOWEL_CLASS[Niqqud.QUBUTS] = 5
 
 
 def _tokens_ok(letters: str, char_ok: np.ndarray) -> Counts:
@@ -137,7 +112,7 @@ def score_document(gold: Document, pred: Document) -> DocScores:
     char_ok = wrong == 0
     bkp = letter_mask(gold.letters, BKP_LETTERS)
     same_sound = (
-        (~masks["niqqud"] | (_VOWEL_IDS[g["niqqud"]] == _VOWEL_IDS[p["niqqud"]]))
+        (~masks["niqqud"] | (_VOWEL_CLASS[g["niqqud"]] == _VOWEL_CLASS[p["niqqud"]]))
         & (~masks["sin"] | (g["sin"] == p["sin"]))
         & (~bkp | ((g["dagesh"] != 0) == (p["dagesh"] != 0)))
     )

@@ -558,8 +558,11 @@ def gradient_check(
     Runs the whole computation in float64; the same dropout masks are
     replayed on every evaluation so the loss stays a deterministic function
     of the parameters.  Relative error uses a small floor so near-zero
-    entries compare by absolute difference.
+    entries compare by absolute difference.  Raises ValueError unless
+    ``samples_per_array`` is positive: a check of nothing passes nothing.
     """
+    if samples_per_array < 1:
+        raise ValueError(f"samples per array must be positive, got {samples_per_array}")
     params = init_params(config, seed=seed, dtype=np.float64)
     _, grads = loss_and_grads(
         params, config, ids, lengths, golds, masks, dropout_masks
@@ -604,8 +607,12 @@ def make_synthetic_batch(
 
     Rows get varied lengths (the first spans the full width), masks are off
     past each row's length, and sin golds include the no-dot case so the
-    loss exclusion path gets exercised too.
+    loss exclusion path gets exercised too.  Raises ValueError unless
+    ``batch`` and ``width`` are positive.
     """
+    for name, size in (("batch", batch), ("width", width)):
+        if size < 1:
+            raise ValueError(f"{name} must be positive, got {size}")
     rng = np.random.Generator(np.random.PCG64(seed))
     ids = rng.integers(2, config.vocab_size, size=(batch, width), dtype=np.int32)
     lengths = rng.integers(

@@ -1,23 +1,40 @@
 """Per-character reference implementations for :func:`hebdot.codec.parse`.
 
-These are the walks that ``parse`` replaced, kept verbatim so property
-tests can compare the single pass against them: ``normalize_mapped``
-normalizes while recording which raw span produced each output character,
-and ``drop_orphan_marks`` removes the marks that sit on no Hebrew letter.
-They classify through the public ``char_class``, not through the table
-``parse`` reads.
+These are the walks that ``parse`` replaced, kept with their logic so
+property tests can compare the single pass against them:
+``normalize_mapped`` normalizes while recording which raw span produced
+each output character, ``normalize`` keeps its text, ``decompose`` turns
+normalized text into one ``(letter, niqqud, dagesh, sin)`` tuple per base
+character, and ``drop_orphan_marks`` removes the marks that sit on no
+Hebrew letter.  They classify through the public ``char_class``, not
+through the table ``parse`` reads.
 """
 
 from __future__ import annotations
 
 from hebdot.codec import (
-    _MARK_CLASSES,
+    _CHAR_TO_NIQQUD,
     _TYPOGRAPHIC_MAP,
     DIGIT_SYMBOL,
     LATIN_SYMBOL,
+    SHIN_DOT_CHAR,
     CharClass,
+    Dagesh,
+    Niqqud,
+    Sin,
     char_class,
 )
+
+_MARK_CLASSES = (
+    CharClass.NIQQUD_MARK,
+    CharClass.DAGESH_MARK,
+    CharClass.SIN_SHIN_MARK,
+    CharClass.DROPPED_MARK,
+)
+
+
+class LeadingMarkError(ValueError):
+    """A combining mark appeared before any base character."""
 
 
 def _candidate(ch: str) -> str | None:
@@ -87,6 +104,51 @@ def normalize_mapped(
         removed = merged
 
     return "".join(out), spans, removed
+
+
+def normalize(raw: str) -> str:
+    """Reduce text to the model alphabet, keeping the label marks.
+
+    Keeps Hebrew letters, their diacritic marks, single spaces and
+    whitelisted punctuation; digits and Latin letters become one placeholder
+    symbol each; everything else is removed.  Runs of whitespace collapse to
+    one space and the result carries no leading/trailing space.
+    """
+    return normalize_mapped(raw)[0]
+
+
+def decompose(dotted: str) -> list[tuple[str, int, int, int]]:
+    """Split dotted text into one (letter, niqqud, dagesh, sin) per base
+    character.
+
+    Marks attach to the nearest preceding base character, whatever their
+    order after it; duplicate marks of one category keep the last
+    occurrence; folded codepoints (qamats qatan, holam haser for vav) are
+    mapped to their label, and meteg/rafe/cantillation are dropped.
+    Illegal combinations (a sin dot on bet, say) are kept.
+
+    Raises LeadingMarkError if a combining mark precedes any base character.
+    """
+    chars: list[list] = []
+    for i, ch in enumerate(dotted):
+        cls = char_class(ch)
+        if cls in _MARK_CLASSES:
+            if not chars:
+                raise LeadingMarkError(
+                    f"combining mark U+{ord(ch):04X} at position {i} precedes any base character"
+                )
+            if cls is CharClass.DROPPED_MARK:
+                continue
+            last = chars[-1]
+            if cls is CharClass.NIQQUD_MARK:
+                last[1] = _CHAR_TO_NIQQUD[ch]
+            elif cls is CharClass.DAGESH_MARK:
+                last[2] = Dagesh.DAGESH
+            else:
+                last[3] = Sin.SHIN_DOT if ch == SHIN_DOT_CHAR else Sin.SIN_DOT
+        else:
+            chars.append([ch, Niqqud.NONE, Dagesh.NONE, Sin.NONE])
+    return [tuple(c) for c in chars]
 
 
 def drop_orphan_marks(text: str) -> str:

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from hebdot import codec
-from hebdot.codec import MarkedChar
 from hebdot.corpus import Document, Vocabulary
 from hebdot.network import ModelConfig, init_params, save_checkpoint
 
@@ -33,8 +31,8 @@ def corpus_root() -> Path:
 
 
 def doc_from_text(text: str, doc_id: str = "doc") -> Document:
-    chars = codec.decompose(codec.normalize(text))
-    return Document.from_chars(doc_id, "test", chars)
+    """A test document read from dotted text by the rule loading uses."""
+    return Document.from_text(doc_id, "test", text)
 
 
 @pytest.fixture(scope="session")
@@ -105,28 +103,36 @@ def oracle_tokens(letters: str) -> list[tuple[int, int]]:
     return spans
 
 
-def oracle_char_decisions(g: MarkedChar, p: MarkedChar) -> list[bool]:
-    if g.letter not in ORACLE_HEBREW:
+def oracle_chars(doc: Document) -> list[tuple[str, int, int, int]]:
+    """(letter, niqqud, dagesh, sin) per letter, read off the label arrays."""
+    columns = (doc.labels[k].tolist() for k in ("niqqud", "dagesh", "sin"))
+    return list(zip(doc.letters, *columns))
+
+
+def oracle_char_decisions(g, p) -> list[bool]:
+    letter = g[0]
+    if letter not in ORACLE_HEBREW:
         return []
-    outcomes = [int(g.niqqud) == int(p.niqqud)]
-    if g.letter not in ORACLE_NO_DAGESH:
-        outcomes.append(int(g.dagesh) == int(p.dagesh))
-    if g.letter == "ש":
-        outcomes.append(int(g.sin) == int(p.sin))
+    outcomes = [g[1] == p[1]]
+    if letter not in ORACLE_NO_DAGESH:
+        outcomes.append(g[2] == p[2])
+    if letter == "ש":
+        outcomes.append(g[3] == p[3])
     return outcomes
 
 
-def oracle_signature(c: MarkedChar):
+def oracle_signature(c):
+    letter, niqqud, dagesh, sin = c
     return (
-        ORACLE_VOWEL_GROUP[int(c.niqqud)],
-        int(c.sin) if c.letter == "ש" else None,
-        (int(c.dagesh) != 0) if c.letter in ORACLE_BKP else None,
+        ORACLE_VOWEL_GROUP[niqqud],
+        sin if letter == "ש" else None,
+        (dagesh != 0) if letter in ORACLE_BKP else None,
     )
 
 
 def oracle_scores(gold: Document, pred: Document) -> dict[str, tuple[int, int]]:
     assert gold.letters == pred.letters
-    pairs = list(zip(gold.chars, pred.chars))
+    pairs = list(zip(oracle_chars(gold), oracle_chars(pred)))
     dec_c = dec_t = cha_c = cha_t = 0
     for g, p in pairs:
         outcomes = oracle_char_decisions(g, p)
@@ -144,7 +150,7 @@ def oracle_scores(gold: Document, pred: Document) -> dict[str, tuple[int, int]]:
             g, p = pairs[i]
             if not all(oracle_char_decisions(g, p)):
                 ok_exact = False
-            if g.letter in ORACLE_HEBREW and oracle_signature(g) != oracle_signature(p):
+            if g[0] in ORACLE_HEBREW and oracle_signature(g) != oracle_signature(p):
                 ok_voc = False
         wor_c += int(ok_exact)
         voc_c += int(ok_voc)
@@ -154,6 +160,33 @@ def oracle_scores(gold: Document, pred: Document) -> dict[str, tuple[int, int]]:
         "wor": (wor_c, len(spans)),
         "voc": (voc_c, len(spans)),
     }
+
+
+ORACLE_NIQQUD_MARKS = frozenset(chr(c) for c in range(0x05B0, 0x05BC)) | {"\u05c7"}
+ORACLE_DAGESH_MARK = "\u05bc"
+ORACLE_DOT_MARKS = frozenset("\u05c1\u05c2")  # shin dot, sin dot
+
+
+def oracle_mark_problems(text: str) -> list[tuple[int, str]]:
+    """(offset, mark) for every vowel mark, dagesh or shin/sin dot in
+    ``text`` that does not follow, other such marks apart, a letter that can
+    carry it: a vowel needs a Hebrew letter, a dagesh one outside the no-dagesh
+    set, a shin or sin dot the shin."""
+    problems = []
+    base = None
+    for i, ch in enumerate(text):
+        if ch in ORACLE_NIQQUD_MARKS:
+            ok = base in ORACLE_HEBREW
+        elif ch == ORACLE_DAGESH_MARK:
+            ok = base in ORACLE_HEBREW and base not in ORACLE_NO_DAGESH
+        elif ch in ORACLE_DOT_MARKS:
+            ok = base == "ש"
+        else:
+            base = ch
+            continue
+        if not ok:
+            problems.append((i, ch))
+    return problems
 
 
 # 25 micro documents (gold, prediction), each letter stream ≤ 12 chars.

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hebdot.codec import compose, decompose, normalize, strip_diacritics
+from hebdot.codec import parse, strip_diacritics
 from hebdot.corpus import (
+    Document,
     Vocabulary,
     chunk_spans,
     hebrew_token_count,
@@ -35,7 +36,7 @@ from hebdot.network import (
 from hebdot.trainer import LRSchedule, TrainPlan, overfit_probe, train
 
 from conftest import micro_documents, oracle_scores
-from test_metrics import random_marked
+from test_metrics import random_dotted
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -56,19 +57,23 @@ class TestAcceptance:
         checked = 0
         for path in files:
             raw = path.read_text(encoding="utf-8")
-            norm = normalize(raw)
-            once = compose(decompose(norm))
-            twice = compose(decompose(once))
-            if twice != once:
+            first = Document.from_text(path.stem, "c1", raw)
+            once = first.text
+            again = Document.from_text(path.stem, "c1", once)
+            if again.text != once:
                 violations += 1
-            if strip_diacritics(once) != strip_diacritics(norm):
+            if again.letters != first.letters or any(
+                not np.array_equal(again.labels[k], first.labels[k]) for k in again.labels
+            ):
+                violations += 1
+            if strip_diacritics(once) != parse(strip_diacritics(raw))[0]:
                 violations += 1
             checked += 1
         elapsed = time.time() - start
         verdict(
             "C1",
             violations == 0 and elapsed < 60.0,
-            f"compose∘decompose fixed point and letter streams intact on "
+            f"load-render fixed point and letter streams intact on "
             f"{checked} files of the {corpus_label()}, {violations} violations, "
             f"{elapsed:.1f}s",
         )
@@ -171,8 +176,8 @@ class TestAcceptance:
                 for _ in range(rng.integers(1, 6))
             ]
             letters = " ".join(words)
-            gold = doc_from_text(compose(random_marked(rng, letters)), doc_id="g")
-            pred = doc_from_text(compose(random_marked(rng, letters)), doc_id="g")
+            gold = doc_from_text(random_dotted(rng, letters), doc_id="g")
+            pred = doc_from_text(random_dotted(rng, letters), doc_id="g")
             s = score_document(gold, pred)
             assert s.voc.correct >= s.wor.correct, letters
         # evaluate() re-asserts the same invariant on every run it scores

@@ -310,6 +310,18 @@ class TestGradcheck:
         assert code == 1
         assert stdout.strip().splitlines()[-1] == "FAIL"
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--batch", "batch"), ("--width", "width"), ("--samples", "samples")]
+    )
+    def test_empty_sizes_are_data_errors(self, capsys, flag, name):
+        # a check that compares nothing neither passes nor crashes
+        code, stdout, stderr = run(capsys, "gradcheck", flag, "0")
+        assert code == 3
+        assert stdout == ""
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+        assert name in lines[0]
+
 
 class TestUsage:
     def test_no_command(self, capsys):

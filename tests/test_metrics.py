@@ -3,21 +3,11 @@ import logging
 import numpy as np
 import pytest
 
-from hebdot.codec import (
-    DAGESH_CAPABLE,
-    HEBREW_LETTERS,
-    Dagesh,
-    MarkedChar,
-    Niqqud,
-    Sin,
-    compose,
-)
-from hebdot.corpus import SPLITS, Document, load_corpus
+from hebdot.codec import DAGESH_CAPABLE, HEBREW_LETTERS, insert_marks
+from hebdot.corpus import CATEGORIES, SPLITS, Document, load_corpus
 from hebdot.metrics import (
     Counts,
     LetterStreamMismatch,
-    align,
-    dec,
     evaluate,
     render_report,
     score_document,
@@ -42,23 +32,19 @@ class TestCounts:
 
 
 class TestAlign:
-    def test_pairs_in_order(self):
-        gold, pred = MICRO_BY_NAME["qamats_vs_patah"]
-        pairs = align(gold, pred)
-        assert len(pairs) == len(gold.letters)
-        assert all(g.letter == p.letter for g, p in pairs)
+    """Scoring pairs letters by position, so the streams must agree."""
 
     def test_divergence_position_reported(self):
         a = doc_from_text("אבג", doc_id="x")
         b = doc_from_text("אדג", doc_id="x")
         with pytest.raises(LetterStreamMismatch, match="position 1"):
-            align(a, b)
+            score_document(a, b)
 
     def test_length_mismatch_reported(self):
         a = doc_from_text("אבג", doc_id="x")
         b = doc_from_text("אב", doc_id="x")
         with pytest.raises(LetterStreamMismatch, match="<end>"):
-            align(a, b)
+            score_document(a, b)
 
 
 class TestAgainstOracle:
@@ -75,7 +61,7 @@ class TestHandFrozen:
     def test_dec_identical_word(self):
         gold, pred = MICRO_BY_NAME["identical"]
         # shin 3 slots, lamed 2, vav 2, final mem 1
-        assert dec(gold, pred) == Counts(8, 8)
+        assert score_document(gold, pred).dec == Counts(8, 8)
 
     def test_qamats_patah_same_pronunciation(self):
         s = score_document(*MICRO_BY_NAME["qamats_vs_patah"])
@@ -122,23 +108,25 @@ class TestHandFrozen:
         assert s.voc == Counts(0, 1)
 
 
-def random_marked(rng, letters: str) -> "list[MarkedChar]":
-    out = []
+def random_marked(rng, letters: str) -> dict[str, np.ndarray]:
+    """A random legal labelling of a letter stream: every Hebrew letter
+    draws its dagesh if it can carry one, its dot if it is shin, and its
+    niqqud; everything else stays bare."""
+    rows = []
     for ch in letters:
         if ch not in HEBREW_LETTERS:
-            out.append(MarkedChar(letter=ch))
+            rows.append((0, 0, 0))
             continue
-        dagesh = Dagesh(int(rng.integers(0, 2))) if ch in DAGESH_CAPABLE else Dagesh.NONE
-        sin = Sin(int(rng.integers(0, 3))) if ch == "ש" else Sin.NONE
-        out.append(
-            MarkedChar(
-                letter=ch,
-                niqqud=Niqqud(int(rng.integers(0, 12))),
-                dagesh=dagesh,
-                sin=sin,
-            )
-        )
-    return out
+        dagesh = int(rng.integers(0, 2)) if ch in DAGESH_CAPABLE else 0
+        sin = int(rng.integers(0, 3)) if ch == "ש" else 0
+        rows.append((int(rng.integers(0, 12)), dagesh, sin))
+    columns = np.array(rows, np.int8).reshape(-1, len(CATEGORIES)).T
+    return dict(zip(CATEGORIES, columns))
+
+
+def random_dotted(rng, letters: str) -> str:
+    """Dotted text of a random legal labelling of ``letters``."""
+    return insert_marks(letters, range(1, len(letters) + 1), random_marked(rng, letters))
 
 
 def relabelled(rng, doc: Document, share: float) -> Document:
@@ -146,8 +134,8 @@ def relabelled(rng, doc: Document, share: float) -> Document:
     probability ``share`` each, and keep their own otherwise."""
     fresh = random_marked(rng, doc.letters)
     flip = rng.random(len(doc.letters)) < share
-    chars = [f if k else c for c, f, k in zip(doc.chars, fresh, flip)]
-    return Document.from_chars(doc.id, "pred", chars)
+    labels = {k: np.where(flip, fresh[k], doc.labels[k]) for k in CATEGORIES}
+    return Document(doc.id, "pred", doc.letters, labels)
 
 
 class TestVocNeverBelowWor:
@@ -161,8 +149,8 @@ class TestVocNeverBelowWor:
                 for _ in range(rng.integers(1, 5))
             ]
             letters = " ".join(words)
-            gold = doc_from_text(compose(random_marked(rng, letters)), doc_id="g")
-            pred = doc_from_text(compose(random_marked(rng, letters)), doc_id="g")
+            gold = doc_from_text(random_dotted(rng, letters), doc_id="g")
+            pred = doc_from_text(random_dotted(rng, letters), doc_id="g")
             pairs.append((letters, gold, pred))
         # whole documents: punctuation, digits, geresh acronyms and maqaf
         for split in SPLITS:

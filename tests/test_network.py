@@ -249,9 +249,10 @@ class TestNearPaperSize:
 
 
 class TestLoss:
-    def test_masking_is_exact(self):
+    @pytest.mark.parametrize("dim", [8, 400], ids=["hidden8", "paper"])
+    def test_masking_is_exact(self, dim):
         # golds at dead positions must have zero effect, bit for bit
-        config = tiny_config()
+        config = tiny_config(embed_dim=dim, hidden_dim=dim)
         params = init_params(config, seed=1)
         ids, lengths, golds, masks = make_synthetic_batch(config, batch=4, width=10, seed=6)
         loss_a, grads_a = loss_and_grads(params, config, ids, lengths, golds, masks)
@@ -358,6 +359,47 @@ class TestGradients:
         params = init_params(config, seed=0)
         assert set(report.per_array) == set(params)
         assert report.samples == sum(min(5, p.size) for p in params.values())
+
+
+class TestPaperSize:
+    """Float64 gradients at the paper's dimensions (embed and hidden 400,
+    two layers, dropout replayed) on a batch of 2 rows of 12 letters.
+    Every coordinate of 7.1M parameters is out of reach, so a few sampled
+    ones per array are checked, plus random directions through all of them
+    at once."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=400, hidden_dim=400)
+        batch = make_synthetic_batch(config, batch=2, width=12, seed=5)
+        drop = make_dropout_masks(config, 2, 12, np.random.default_rng(6))
+        return config, batch, drop
+
+    def test_sampled_coordinates(self, setup):
+        config, batch, drop = setup
+        report = gradient_check(
+            config, *batch, seed=3, samples_per_array=3, tolerance=1e-4, dropout_masks=drop
+        )
+        assert report.passed, report.per_array
+
+    def test_random_directions(self, setup):
+        config, (ids, lengths, golds, masks), drop = setup
+        params = init_params(config, seed=3, dtype=np.float64)
+        _, grads = loss_and_grads(params, config, ids, lengths, golds, masks, drop)
+        rng = np.random.default_rng(8)
+        step = 1e-3
+        for _ in range(3):
+            direction = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+            norm = math.sqrt(sum(float((d * d).sum()) for d in direction.values()))
+
+            def loss_at(t):
+                moved = {k: p + (t / norm) * direction[k] for k, p in params.items()}
+                return compute_loss(moved, config, ids, lengths, golds, masks, drop)
+
+            analytic = sum(float((grads[k] * direction[k]).sum()) for k in params) / norm
+            numeric = (loss_at(step) - loss_at(-step)) / (2.0 * step)
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+            assert rel <= 1e-4, (analytic, numeric, rel)
 
 
 class TestSyntheticBatch:

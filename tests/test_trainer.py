@@ -324,3 +324,35 @@ class TestProbe:
         chunks = [c for d in docs for c in encode_document(d, vocab)]
         acc = dec_accuracy(params, config, make_batches(chunks, 16, seed=None))
         assert 0.0 <= acc <= 1.0
+
+
+class TestPaperSize:
+    def test_two_steps_bitwise_reproducible(self, bundled_corpus_root):
+        # embed and hidden 400, two layers, dropout 0.1: two optimizer steps
+        # on two batches of 4 bundled chunks of at most 24 letters, twice
+        vocab = Vocabulary()
+        config = ModelConfig(vocab_size=vocab.size, embed_dim=400, hidden_dim=400, dropout=0.1)
+        doc = load_corpus(bundled_corpus_root, "modern")[0]
+        chunks = encode_document(doc, vocab, max_len=24)[:8]
+        batches = make_batches(chunks, batch_size=4, seed=1)
+        assert [b.size for b in batches] == [4, 4]
+        assert all(b.letter_ids.shape[1] <= 24 for b in batches)
+
+        def run():
+            params = init_params(config, seed=7)
+            adam = AdamState.init(params)
+            drop_rng = np.random.Generator(np.random.PCG64(8))
+            losses = [
+                trainer_mod._train_step(params, config, adam, b, drop_rng, lr=1e-3)
+                for b in batches
+            ]
+            return params, adam, losses
+
+        (p1, a1, l1), (p2, a2, l2) = run(), run()
+        assert l1 == l2
+        assert a1.t == a2.t == 2
+        for name in p1:
+            assert np.array_equal(p1[name], p2[name]), name
+            assert np.array_equal(a1.m[name], a2.m[name]), name
+            assert np.array_equal(a1.v[name], a2.v[name]), name
+        assert not np.array_equal(p1["embedding"], init_params(config, seed=7)["embedding"])
