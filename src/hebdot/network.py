@@ -7,13 +7,20 @@ head.  Forward, loss and analytic gradients are implemented here directly;
 :func:`gradient_check` compares those gradients against central finite
 differences and is wired into both the test suite and the CLI.
 
-Each LSTM direction computes its input projection ``u @ Wx + b`` for all
-time steps as one GEMM into a (B, T, 4H) gate buffer, gates laid out
-i|f|g|o.  The time loop adds only ``h @ Wh`` and activates the gates in
-place, sigmoid written as ``0.5 * tanh(0.5 * x) + 0.5``.  The backward pass
-writes each step's gate gradient into the same buffer, keeps only
-``dz @ Wh.T`` in the reverse loop, and computes the weight, bias and input
-gradients afterwards as whole-sequence GEMMs.
+Each LSTM direction fills a (B, T, 4H) gate buffer, gates laid out
+i|f|g|o, with its input projection ``u @ Wx + b`` for all time steps before
+the time loop.  Layer 0 reads embedding rows of only a few dozen letters, so
+it projects each distinct letter of the batch once and gathers that table
+into time order; the layers above take one whole-sequence GEMM.  The time
+loop adds only ``h @ Wh`` and activates the gates in place, sigmoid written
+as ``0.5 * tanh(0.5 * x) + 0.5``.  The backward pass writes each step's gate
+gradient into the same buffer, keeps only ``dz @ Wh.T`` in the reverse
+loop, and computes the weight, bias and input gradients afterwards as
+whole-sequence GEMMs; at layer 0 it first sums the gate gradients per
+distinct letter with a one-hot GEMM and works in that letter space.
+Nothing nonlinear sits between the projection and the heads, so the
+projection's gradients are taken through the heads' 16 logit columns
+instead of through the 2H-wide gradient of its output.
 
 Everything is deterministic given the seeds: parameter init draws in a
 fixed order, and dropout masks are created outside the forward pass so the
@@ -180,7 +187,6 @@ def _reversal_index(lengths: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass
 class _DirCache:
-    u: np.ndarray  # (B, T, in) input in this direction's time order
     gates: np.ndarray  # (B, T, 4H) activated i|f|g|o; backward overwrites with dz
     c: np.ndarray  # (B, T, H) cell states
     h: np.ndarray  # (B, T, H) hidden states
@@ -188,22 +194,23 @@ class _DirCache:
 
 @dataclass
 class ForwardCache:
+    letters: np.ndarray  # (n,) the distinct ids of the batch, sorted
+    idx: np.ndarray  # (B, T) each position's row in ``letters``
     rev_idx: np.ndarray
     directions: list[dict[str, _DirCache]]  # per layer, in each one's time order
+    inputs: list[np.ndarray]  # input of each layer above 0, document order
     feats: np.ndarray
     proj: np.ndarray
     dropout_masks: list[np.ndarray] | None
 
 
-def _run_direction(
-    u: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray
-) -> _DirCache:
-    B, T, n_in = u.shape
+def _run_direction(gates: np.ndarray, Wh: np.ndarray) -> _DirCache:
+    """The recurrence of one direction over its filled (B, T, 4H) gate
+    buffer, which holds ``x @ Wx + b`` for every step in this direction's
+    time order; only ``h @ Wh`` is sequential."""
+    B, T, _ = gates.shape
     H = Wh.shape[0]
-    dtype = u.dtype
-    # input projection for every step at once; only h @ Wh is sequential
-    gates = (u.reshape(B * T, n_in) @ Wx).reshape(B, T, 4 * H)
-    gates += b
+    dtype = gates.dtype
     scale, shift = _gate_affine(H, dtype)
     c_s = np.empty((B, T, H), dtype)
     h_s = np.empty((B, T, H), dtype)
@@ -222,7 +229,7 @@ def _run_direction(
         np.tanh(c_t, out=h_t)
         h_t *= z[:, 3 * H :]
         c, h = c_t, h_t
-    return _DirCache(u=u, gates=gates, c=c_s, h=h_s)
+    return _DirCache(gates=gates, c=c_s, h=h_s)
 
 
 def forward(
@@ -237,8 +244,8 @@ def forward(
     and the cache that :func:`loss_and_grads` consumes.
 
     With ``keep_cache=False`` (inference) the cache is None: each
-    direction's gate, cell and input buffers are dropped as soon as its
-    hidden states have been taken, which cuts peak memory to about a third.
+    direction's gate and cell buffers are dropped as soon as its hidden
+    states have been taken, which cuts peak memory to about a third.
     The logits are the same either way, bit for bit.
     """
     if ids.ndim != 2:
@@ -255,11 +262,18 @@ def forward(
 
     emb = params["embedding"]
     dtype = emb.dtype
-    E = emb[ids]
     rev = _reversal_index(np.asarray(lengths, dtype=np.int64), T)
     rows = np.arange(B)[:, None]
+    # the distinct ids, ascending, and each position's row among them;
+    # counting over the small vocabulary needs no sort, unlike np.unique
+    letters = np.flatnonzero(np.bincount(ids.reshape(-1), minlength=config.vocab_size))
+    rank = np.zeros(config.vocab_size, np.intp)
+    rank[letters] = np.arange(letters.size)
+    idx = rank[ids]
+    # numpy sends a one-row product to gemv, which rounds unlike the gemm of
+    # a longer batch; a repeated letter keeps the table on gemm
+    table_rows = emb[letters if letters.size > 1 or ids.size == 1 else letters.repeat(2)]
 
-    u = E
     directions: list[dict[str, _DirCache]] = []
     dropped: list[np.ndarray] = []  # concat(fwd, bwd) per layer after dropout
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
@@ -268,12 +282,18 @@ def forward(
         outs = []
         for direction in _DIRECTIONS:
             prefix = f"lstm{layer}_{direction}"
-            cache = _run_direction(
-                u if direction == "fwd" else u[rows, rev],
-                params[f"{prefix}_Wx"],
-                params[f"{prefix}_Wh"],
-                params[f"{prefix}_b"],
-            )
+            Wx, b = params[f"{prefix}_Wx"], params[f"{prefix}_b"]
+            if layer == 0:
+                # one row per distinct letter, gathered into time order
+                table = table_rows @ Wx
+                table += b
+                gates = table[idx if direction == "fwd" else idx[rows, rev]]
+            else:
+                x = dropped[-1] if direction == "fwd" else dropped[-1][rows, rev]
+                gates = (x.reshape(B * T, -1) @ Wx).reshape(B, T, -1)
+                gates += b
+            cache = _run_direction(gates, params[f"{prefix}_Wh"])
+            del gates
             outs.append(cache.h if direction == "fwd" else cache.h[rows, rev])
             if keep_cache:
                 per_dir[direction] = cache
@@ -287,7 +307,6 @@ def forward(
             D = H_layer
         directions.append(per_dir)
         dropped.append(D)
-        u = D
 
     feats = dropped[-1]
     if config.residual:
@@ -298,8 +317,11 @@ def forward(
     if not keep_cache:
         return logits, None
     cache = ForwardCache(
+        letters=letters,
+        idx=idx,
         rev_idx=rev,
         directions=directions,
+        inputs=dropped[:-1],
         feats=feats,
         proj=P,
         dropout_masks=dropout_masks,
@@ -415,29 +437,36 @@ def loss_and_grads(
     B, T = ids.shape
     H2 = 2 * config.hidden_dim
     total = np.float64(0.0)
-    P_flat = cache.proj.reshape(B * T, H2)
-    dP = np.zeros_like(cache.proj)
+    # logit gradients of all heads side by side, one column block per head
+    dL = np.zeros((B * T, sum(HEAD_SIZES.values())), dtype)
+    cols = {}
+    start = 0
     for k in CATEGORIES:
+        cols[k] = slice(start, start + HEAD_SIZES[k])
+        start += HEAD_SIZES[k]
         g, m = targets[k]
         if not m.any():
             continue
         nll, soft = _nll_and_softmax(logits[k][m], g[m])
         total += nll
         soft[np.arange(soft.shape[0]), g[m]] -= 1.0
-        dlog = np.zeros_like(logits[k])
-        dlog[m] = (soft / count).astype(dtype)
-        dlog_flat = dlog.reshape(B * T, -1)
-        grads[f"head_{k}_W"] += P_flat.T @ dlog_flat
-        grads[f"head_{k}_b"] += dlog_flat.sum(axis=0)
-        dP += dlog @ params[f"head_{k}_W"].T
+        dL[m.reshape(-1), cols[k]] = soft / count
     loss = float(total / count)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
 
-    dP_flat = dP.reshape(B * T, H2)
-    grads["proj_W"] += cache.feats.reshape(B * T, H2).T @ dP_flat
-    grads["proj_b"] += dP_flat.sum(axis=0)
-    dfeats = dP @ params["proj_W"].T
+    gW_heads = cache.proj.reshape(B * T, H2).T @ dL
+    gb_heads = dL.sum(axis=0)
+    for k in CATEGORIES:
+        grads[f"head_{k}_W"] += gW_heads[:, cols[k]]
+        grads[f"head_{k}_b"] += gb_heads[cols[k]]
+    # nothing nonlinear sits between projection and heads, so the
+    # projection's gradients go through the heads' few columns instead of
+    # the 2H-wide gradient of its output
+    W_heads = np.concatenate([params[f"head_{k}_W"] for k in CATEGORIES], axis=1)
+    grads["proj_W"] += (cache.feats.reshape(B * T, H2).T @ dL) @ W_heads.T
+    grads["proj_b"] += gb_heads @ W_heads.T
+    dfeats = (dL @ (params["proj_W"] @ W_heads).T).reshape(B, T, H2)
 
     d_dropped = [np.zeros_like(cache.feats) for _ in range(config.num_layers)]
     d_dropped[-1] += dfeats
@@ -447,58 +476,66 @@ def loss_and_grads(
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     rows = np.arange(B)[:, None]
     rev = cache.rev_idx
+    emb_rows = params["embedding"][cache.letters]
+    d_emb_rows = np.zeros_like(emb_rows)
+    H = config.hidden_dim
     for layer in range(config.num_layers - 1, -1, -1):
         dD = d_dropped[layer]
         if cache.dropout_masks is not None:
             dH = dD * cache.dropout_masks[layer] * inv_keep
         else:
             dH = dD
-        H = config.hidden_dim
         dU_total: np.ndarray | None = None
         for di, direction in enumerate(_DIRECTIONS):
             prefix = f"lstm{layer}_{direction}"
-            dc_cache = cache.directions[layer][direction]
+            Wx = params[f"{prefix}_Wx"]
             dh_doc = dH[:, :, di * H : (di + 1) * H]
-            dh_local = dh_doc if direction == "fwd" else dh_doc[rows, rev]
-            dU_local = _backprop_direction(
-                dc_cache,
-                dh_local,
-                params[f"{prefix}_Wx"],
+            dZ = _backprop_direction(
+                cache.directions[layer][direction],
+                dh_doc if direction == "fwd" else dh_doc[rows, rev],
                 params[f"{prefix}_Wh"],
-                grads[f"{prefix}_Wx"],
                 grads[f"{prefix}_Wh"],
                 grads[f"{prefix}_b"],
             )
-            dU_doc = dU_local if direction == "fwd" else dU_local[rows, rev]
-            dU_total = dU_doc if dU_total is None else dU_total + dU_doc
-        assert dU_total is not None
+            if layer == 0:
+                # sum dZ per distinct letter, then work in letter space
+                idx = cache.idx if direction == "fwd" else cache.idx[rows, rev]
+                onehot = np.zeros((emb_rows.shape[0], B * T), dtype)
+                onehot[idx.reshape(-1), np.arange(B * T)] = 1.0
+                S = onehot @ dZ
+                grads[f"{prefix}_Wx"] += emb_rows.T @ S
+                d_emb_rows += S @ Wx.T
+            else:
+                u_doc = cache.inputs[layer - 1]
+                u = u_doc if direction == "fwd" else u_doc[rows, rev]
+                grads[f"{prefix}_Wx"] += u.reshape(B * T, -1).T @ dZ
+                dU_local = (dZ @ Wx.T).reshape(B, T, -1)
+                dU_doc = dU_local if direction == "fwd" else dU_local[rows, rev]
+                dU_total = dU_doc if dU_total is None else dU_total + dU_doc
         if layer > 0:
             d_dropped[layer - 1] += dU_total
-        else:
-            dE = dU_total
-    np.add.at(grads["embedding"], ids, dE)
+    grads["embedding"][cache.letters] += d_emb_rows
     return loss, grads
 
 
 def _backprop_direction(
     cache: _DirCache,
     dh_seq: np.ndarray,
-    Wx: np.ndarray,
     Wh: np.ndarray,
-    gWx: np.ndarray,
     gWh: np.ndarray,
     gb: np.ndarray,
 ) -> np.ndarray:
-    """Reverse-time pass for one direction, accumulating into the provided
-    gradient buffers.  Returns the gradient w.r.t. this direction's input.
+    """Reverse-time pass for one direction, accumulating into the recurrent
+    weight and bias gradient buffers.  Returns the (B*T, 4H) gate
+    pre-activation gradient dZ, from which the caller takes the input
+    weight and input gradients.
 
-    Each step's gate pre-activation gradient dz replaces that step's
-    activated gates in ``cache.gates``, so the cache is spent afterwards.
-    Only ``dz @ Wh.T`` is sequential; the weight and input gradients are
-    whole-sequence GEMMs after the loop.
+    Each step's dz replaces that step's activated gates in ``cache.gates``,
+    so the cache is spent afterwards and dZ is a view of it.  Only
+    ``dz @ Wh.T`` is sequential; the recurrent weight gradient is one
+    whole-sequence GEMM after the loop.
     """
     B, T, H = dh_seq.shape
-    n_in = cache.u.shape[2]
     dtype = dh_seq.dtype
     gates = cache.gates
     dh_next = np.zeros((B, H), dtype)
@@ -520,13 +557,12 @@ def _backprop_direction(
         dh_next = dz @ Wh.T
         dc_next = dc * f
     dZ = gates.reshape(B * T, 4 * H)
-    gWx += cache.u.reshape(B * T, n_in).T @ dZ
     # step t's recurrent input is h[t-1]; h[-1] = 0 contributes nothing
     h_prev = np.zeros_like(cache.h)
     h_prev[:, 1:] = cache.h[:, :-1]
     gWh += h_prev.reshape(B * T, H).T @ dZ
     gb += dZ.sum(axis=0)
-    return (dZ @ Wx.T).reshape(B, T, n_in)
+    return dZ
 
 
 @dataclass(frozen=True)
@@ -607,12 +643,18 @@ def make_synthetic_batch(
 
     Rows get varied lengths (the first spans the full width), masks are off
     past each row's length, and sin golds include the no-dot case so the
-    loss exclusion path gets exercised too.  Raises ValueError unless
-    ``batch`` and ``width`` are positive.
+    loss exclusion path gets exercised too.  Letter ids are drawn from
+    ``[2, vocab_size)``, past the padding and fallback ids.  Raises
+    ValueError unless ``batch`` and ``width`` are positive and the
+    vocabulary has at least one such letter.
     """
     for name, size in (("batch", batch), ("width", width)):
         if size < 1:
             raise ValueError(f"{name} must be positive, got {size}")
+    if config.vocab_size < 3:
+        raise ValueError(
+            f"vocab_size must be at least 3 to leave a letter id, got {config.vocab_size}"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
     ids = rng.integers(2, config.vocab_size, size=(batch, width), dtype=np.int32)
     lengths = rng.integers(

@@ -322,6 +322,15 @@ class TestGradcheck:
         assert len(lines) == 1 and lines[0].startswith("error: "), stderr
         assert name in lines[0]
 
+    def test_vocabulary_without_letters_is_a_data_error(self, capsys):
+        # ids 0 and 1 are padding and fallback; nothing is left to draw
+        code, stdout, stderr = run(capsys, "gradcheck", "--vocab-size", "2")
+        assert code == 3
+        assert stdout == ""
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+        assert "vocab_size" in lines[0]
+
 
 class TestUsage:
     def test_no_command(self, capsys):

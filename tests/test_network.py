@@ -26,6 +26,7 @@ from hebdot.network import (
     save_checkpoint,
 )
 from hebdot.corpus import Vocabulary
+from network_oracle import reference_forward
 
 
 def tiny_config(**kw):
@@ -248,6 +249,34 @@ class TestNearPaperSize:
                 assert np.allclose(single[name][0], batched[name][r, :n], rtol=0, atol=tol)
 
 
+class TestAgainstReference:
+    """``forward`` projects each distinct letter once at layer 0; the
+    reference multiplies every position's embedding row and writes the
+    sigmoid its own way.  They agree to float32 rounding, far below any
+    label decision; bitwise equality would depend on the BLAS build."""
+
+    @pytest.mark.parametrize(
+        "dim, batch, residual",
+        [(16, 16, False), (16, 16, True), (128, 16, False), (400, 4, False)],
+        ids=["hidden16", "hidden16-residual", "hidden128", "paper"],
+    )
+    def test_logits_match_reference(self, dim, batch, residual):
+        config = ModelConfig(
+            vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim, residual=residual
+        )
+        params = init_params(config, seed=21)
+        ids, lengths, _, _ = make_synthetic_batch(config, batch=batch, width=24, seed=22)
+        ids[-1, : lengths[-1]] = 7  # a row of one repeated letter
+        got, _ = forward(params, config, ids, lengths, keep_cache=False)
+        want = reference_forward(params, config, ids, lengths)
+        tol = 100 * np.finfo(np.float32).eps
+        for r, n in enumerate(lengths):
+            for name in got:
+                a, b = got[name][r, :n], want[name][r, :n]
+                assert np.allclose(a, b, rtol=0, atol=tol), (name, r, np.abs(a - b).max())
+                assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
+
+
 class TestLoss:
     @pytest.mark.parametrize("dim", [8, 400], ids=["hidden8", "paper"])
     def test_masking_is_exact(self, dim):
@@ -359,6 +388,47 @@ class TestGradients:
         params = init_params(config, seed=0)
         assert set(report.per_array) == set(params)
         assert report.samples == sum(min(5, p.size) for p in params.values())
+
+
+class TestLetterSpaceGradients:
+    """Layer 0 sums its gate gradients per distinct letter before the
+    embedding and input-weight gradients.  Letter 5 occurs once, off the
+    middle of its row, so the backward direction meets it at another time
+    step than the forward one; id 0 pads the second row; ids 1, 4, 6 and
+    7 never occur."""
+
+    IDS = np.array([[2, 3, 2, 5, 3, 2], [3, 2, 3, 0, 0, 0]], dtype=np.int32)
+    LENGTHS = np.array([6, 3], dtype=np.int32)
+
+    def batch(self):
+        rng = np.random.default_rng(31)
+        live = np.arange(6)[None, :] < self.LENGTHS[:, None]
+        golds = {
+            k: rng.integers(0, n, size=live.shape).astype(np.int8) for k, n in HEAD_SIZES.items()
+        }
+        golds["sin"] = rng.integers(1, 3, size=live.shape).astype(np.int8)
+        masks = {k: live.copy() for k in HEAD_SIZES}
+        for k in HEAD_SIZES:
+            golds[k][~live] = 0
+        return self.IDS, self.LENGTHS, golds, masks
+
+    @pytest.mark.parametrize(
+        "layers, residual", [(1, False), (2, False), (2, True), (3, False), (3, True)]
+    )
+    def test_gradcheck(self, layers, residual):
+        config = ModelConfig(
+            vocab_size=8, embed_dim=2, hidden_dim=3, num_layers=layers,
+            dropout=0.0, residual=residual,
+        )
+        batch = self.batch()
+        # 24 samples cover every embedding and layer-0 input weight entry
+        report = gradient_check(config, *batch, seed=layers, samples_per_array=24)
+        assert report.passed, report.per_array
+        params = init_params(config, seed=layers, dtype=np.float64)
+        _, grads = loss_and_grads(params, config, *batch)
+        g = grads["embedding"]
+        assert np.all(g[[0, 1, 4, 6, 7]] == 0.0)  # padding and absent ids
+        assert all(g[i].any() for i in (2, 3, 5))
 
 
 class TestPaperSize:
