@@ -7,20 +7,24 @@ head.  Forward, loss and analytic gradients are implemented here directly;
 :func:`gradient_check` compares those gradients against central finite
 differences and is wired into both the test suite and the CLI.
 
-Each LSTM direction fills a (B, T, 4H) gate buffer, gates laid out
-i|f|g|o, with its input projection ``u @ Wx + b`` for all time steps before
-the time loop.  Layer 0 reads embedding rows of only a few dozen letters, so
-it projects each distinct letter of the batch once and gathers that table
-into time order; the layers above take one whole-sequence GEMM.  The time
-loop adds only ``h @ Wh`` and activates the gates in place, sigmoid written
-as ``0.5 * tanh(0.5 * x) + 0.5``.  The backward pass writes each step's gate
-gradient into the same buffer, keeps only ``dz @ Wh.T`` in the reverse
-loop, and computes the weight, bias and input gradients afterwards as
-whole-sequence GEMMs; at layer 0 it first sums the gate gradients per
-distinct letter with a one-hot GEMM and works in that letter space.
-Nothing nonlinear sits between the projection and the heads, so the
-projection's gradients are taken through the heads' 16 logit columns
-instead of through the 2H-wide gradient of its output.
+The LSTM stack is time-major: each direction fills a (T, B, 4H) gate
+buffer, gates laid out i|f|g|o, and keeps its cell and hidden states as
+(T, B, H), so every step of the recurrence reads and writes one contiguous
+(B, ·) block.  The input projection ``u @ Wx + b`` fills the gate buffer for
+all time steps before the time loop.  Layer 0 reads embedding rows of only
+a few dozen letters, so it projects each distinct letter of the batch once
+and gathers that table into time order; the layers above take one
+whole-sequence GEMM.  The time loop adds only ``h @ Wh`` and activates the
+gates in place, sigmoid written as ``0.5 * tanh(0.5 * x) + 0.5``.  The
+backward pass writes each step's gate gradient into the same buffer, keeps
+only ``dz @ Wh.T`` in the reverse loop, and computes the weight, bias and
+input gradients afterwards as whole-sequence GEMMs; at layer 0 it first
+sums the gate gradients per distinct letter with a one-hot GEMM and works
+in that letter space.  The projection and the heads run in document order,
+(B, T, ·), on one copy of the top features.  Nothing nonlinear sits between
+the projection and the heads, so the projection's gradients are taken
+through the heads' 16 logit columns instead of through the 2H-wide gradient
+of its output.
 
 Everything is deterministic given the seeds: parameter init draws in a
 fixed order, and dropout masks are created outside the forward pass so the
@@ -30,7 +34,6 @@ same masks can be replayed.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
 import struct
@@ -174,56 +177,59 @@ def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reversal_index(lengths: np.ndarray, width: int) -> np.ndarray:
-    """Per-row time flip that leaves padding slots in place.
+    """Per-row time flip that leaves padding slots in place, time-major.
 
-    idx[b, t] = lengths[b]-1-t for real positions and t past them.  The map
-    is its own inverse, and because real positions stay in a contiguous
-    prefix, states at real positions never depend on batch width.
+    rev[t, b] = lengths[b]-1-t for real positions and t past them, so a
+    time-major ``x`` flips as ``x[rev, arange(B)]``.  The map is its own
+    inverse, and because real positions stay in a contiguous prefix, states
+    at real positions never depend on batch width.
     """
-    t = np.arange(width)[None, :]
-    flipped = lengths[:, None] - 1 - t
-    return np.where(t < lengths[:, None], flipped, t)
+    t = np.arange(width)[:, None]
+    flipped = lengths[None, :] - 1 - t
+    return np.where(t < lengths[None, :], flipped, t)
 
 
 @dataclass
 class _DirCache:
-    gates: np.ndarray  # (B, T, 4H) activated i|f|g|o; backward overwrites with dz
-    c: np.ndarray  # (B, T, H) cell states
-    h: np.ndarray  # (B, T, H) hidden states
+    gates: np.ndarray  # (T, B, 4H) activated i|f|g|o; backward overwrites with dz
+    c: np.ndarray | None  # (T, B, H) cell states; None when not kept
+    h: np.ndarray  # (T, B, H) hidden states
 
 
 @dataclass
 class ForwardCache:
     letters: np.ndarray  # (n,) the distinct ids of the batch, sorted
-    idx: np.ndarray  # (B, T) each position's row in ``letters``
-    rev_idx: np.ndarray
+    idx: np.ndarray  # (T, B) each position's row in ``letters``
+    rev_idx: np.ndarray  # (T, B) the backward direction's time flip
     directions: list[dict[str, _DirCache]]  # per layer, in each one's time order
-    inputs: list[np.ndarray]  # input of each layer above 0, document order
-    feats: np.ndarray
-    proj: np.ndarray
-    dropout_masks: list[np.ndarray] | None
+    inputs: list[np.ndarray]  # (T, B, 2H) input of each layer above 0, time order
+    feats: np.ndarray  # (B, T, 2H) top features, document order
+    proj: np.ndarray  # (B, T, 2H) projection output, document order
+    dropout_masks: list[np.ndarray] | None  # (B, T, 2H) per layer
 
 
-def _run_direction(gates: np.ndarray, Wh: np.ndarray) -> _DirCache:
-    """The recurrence of one direction over its filled (B, T, 4H) gate
+def _run_direction(gates: np.ndarray, Wh: np.ndarray, keep_cells: bool) -> _DirCache:
+    """The recurrence of one direction over its filled (T, B, 4H) gate
     buffer, which holds ``x @ Wx + b`` for every step in this direction's
-    time order; only ``h @ Wh`` is sequential."""
-    B, T, _ = gates.shape
+    time order; only ``h @ Wh`` is sequential.  Without ``keep_cells`` the
+    cell state is one rolling (B, H) row, updated in place."""
+    T, B, _ = gates.shape
     H = Wh.shape[0]
     dtype = gates.dtype
     scale, shift = _gate_affine(H, dtype)
-    c_s = np.empty((B, T, H), dtype)
-    h_s = np.empty((B, T, H), dtype)
+    c_s = np.empty((T, B, H), dtype) if keep_cells else None
+    h_s = np.empty((T, B, H), dtype)
     c = np.zeros((B, H), dtype)
     for t in range(T):
-        z = gates[:, t]
+        z = gates[t]
         if t:  # the recurrent input is zero at t == 0
             z += h @ Wh
         z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        c_t, h_t = c_s[:, t], h_s[:, t]
+        c_t = c_s[t] if keep_cells else c
+        h_t = h_s[t]
         np.multiply(z[:, H : 2 * H], c, out=c_t)
         c_t += z[:, :H] * z[:, 2 * H : 3 * H]
         np.tanh(c_t, out=h_t)
@@ -244,9 +250,9 @@ def forward(
     and the cache that :func:`loss_and_grads` consumes.
 
     With ``keep_cache=False`` (inference) the cache is None: each
-    direction's gate and cell buffers are dropped as soon as its hidden
-    states have been taken, which cuts peak memory to about a third.
-    The logits are the same either way, bit for bit.
+    direction keeps only a rolling cell state and drops its gate buffer as
+    soon as its hidden states have been taken, which cuts peak memory to
+    about a third.  The logits are the same either way, bit for bit.
     """
     if ids.ndim != 2:
         raise ShapeMismatch(f"ids must be (batch, time), got shape {ids.shape}")
@@ -263,54 +269,57 @@ def forward(
     emb = params["embedding"]
     dtype = emb.dtype
     rev = _reversal_index(np.asarray(lengths, dtype=np.int64), T)
-    rows = np.arange(B)[:, None]
+    cols = np.arange(B)[None, :]
     # the distinct ids, ascending, and each position's row among them;
     # counting over the small vocabulary needs no sort, unlike np.unique
     letters = np.flatnonzero(np.bincount(ids.reshape(-1), minlength=config.vocab_size))
     rank = np.zeros(config.vocab_size, np.intp)
     rank[letters] = np.arange(letters.size)
-    idx = rank[ids]
+    idx = rank[ids.T]
     # numpy sends a one-row product to gemv, which rounds unlike the gemm of
     # a longer batch; a repeated letter keeps the table on gemm
     table_rows = emb[letters if letters.size > 1 or ids.size == 1 else letters.repeat(2)]
 
+    H = config.hidden_dim
     directions: list[dict[str, _DirCache]] = []
-    dropped: list[np.ndarray] = []  # concat(fwd, bwd) per layer after dropout
+    dropped: list[np.ndarray] = []  # (T, B, 2H) concat(fwd, bwd) after dropout
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     for layer in range(config.num_layers):
         per_dir: dict[str, _DirCache] = {}
-        outs = []
-        for direction in _DIRECTIONS:
+        H_layer = np.empty((T, B, 2 * H), dtype)
+        for di, direction in enumerate(_DIRECTIONS):
             prefix = f"lstm{layer}_{direction}"
             Wx, b = params[f"{prefix}_Wx"], params[f"{prefix}_b"]
             if layer == 0:
                 # one row per distinct letter, gathered into time order
                 table = table_rows @ Wx
                 table += b
-                gates = table[idx if direction == "fwd" else idx[rows, rev]]
+                gates = table[idx if direction == "fwd" else idx[rev, cols]]
             else:
-                x = dropped[-1] if direction == "fwd" else dropped[-1][rows, rev]
-                gates = (x.reshape(B * T, -1) @ Wx).reshape(B, T, -1)
+                x = dropped[-1] if direction == "fwd" else dropped[-1][rev, cols]
+                gates = (x.reshape(T * B, -1) @ Wx).reshape(T, B, -1)
                 gates += b
-            cache = _run_direction(gates, params[f"{prefix}_Wh"])
+            cache = _run_direction(gates, params[f"{prefix}_Wh"], keep_cache)
             del gates
-            outs.append(cache.h if direction == "fwd" else cache.h[rows, rev])
+            H_layer[:, :, di * H : (di + 1) * H] = (
+                cache.h if direction == "fwd" else cache.h[rev, cols]
+            )
             if keep_cache:
                 per_dir[direction] = cache
             del cache  # unless kept, its buffers are freed here
-        H_layer = np.concatenate(outs, axis=2)
         if not np.all(np.isfinite(H_layer)):
             raise NonFiniteActivation(f"layer {layer} produced non-finite states")
         if dropout_masks is not None:
-            D = H_layer * dropout_masks[layer] * inv_keep
+            # the masks are drawn batch-major; read them through a view
+            D = H_layer * dropout_masks[layer].transpose(1, 0, 2) * inv_keep
         else:
             D = H_layer
         directions.append(per_dir)
         dropped.append(D)
 
-    feats = dropped[-1]
-    if config.residual:
-        feats = feats + dropped[-2]
+    top = dropped[-1] + dropped[-2] if config.residual else dropped[-1]
+    # the projection and heads run in document order, on one copy
+    feats = np.ascontiguousarray(top.transpose(1, 0, 2))
     P = feats @ params["proj_W"] + params["proj_b"]
     logits = {k: P @ params[f"head_{k}_W"] + params[f"head_{k}_b"] for k in CATEGORIES}
     assert dtype == feats.dtype
@@ -467,14 +476,15 @@ def loss_and_grads(
     grads["proj_W"] += (cache.feats.reshape(B * T, H2).T @ dL) @ W_heads.T
     grads["proj_b"] += gb_heads @ W_heads.T
     dfeats = (dL @ (params["proj_W"] @ W_heads).T).reshape(B, T, H2)
+    dfeats = dfeats.transpose(1, 0, 2)  # back to the stack's time-major layout
 
-    d_dropped = [np.zeros_like(cache.feats) for _ in range(config.num_layers)]
+    d_dropped = [np.zeros((T, B, H2), dtype) for _ in range(config.num_layers)]
     d_dropped[-1] += dfeats
     if config.residual:
         d_dropped[-2] += dfeats
 
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
-    rows = np.arange(B)[:, None]
+    cols = np.arange(B)[None, :]
     rev = cache.rev_idx
     emb_rows = params["embedding"][cache.letters]
     d_emb_rows = np.zeros_like(emb_rows)
@@ -482,7 +492,7 @@ def loss_and_grads(
     for layer in range(config.num_layers - 1, -1, -1):
         dD = d_dropped[layer]
         if cache.dropout_masks is not None:
-            dH = dD * cache.dropout_masks[layer] * inv_keep
+            dH = dD * cache.dropout_masks[layer].transpose(1, 0, 2) * inv_keep
         else:
             dH = dD
         dU_total: np.ndarray | None = None
@@ -492,25 +502,25 @@ def loss_and_grads(
             dh_doc = dH[:, :, di * H : (di + 1) * H]
             dZ = _backprop_direction(
                 cache.directions[layer][direction],
-                dh_doc if direction == "fwd" else dh_doc[rows, rev],
+                dh_doc if direction == "fwd" else dh_doc[rev, cols],
                 params[f"{prefix}_Wh"],
                 grads[f"{prefix}_Wh"],
                 grads[f"{prefix}_b"],
             )
             if layer == 0:
                 # sum dZ per distinct letter, then work in letter space
-                idx = cache.idx if direction == "fwd" else cache.idx[rows, rev]
-                onehot = np.zeros((emb_rows.shape[0], B * T), dtype)
-                onehot[idx.reshape(-1), np.arange(B * T)] = 1.0
+                idx = cache.idx if direction == "fwd" else cache.idx[rev, cols]
+                onehot = np.zeros((emb_rows.shape[0], T * B), dtype)
+                onehot[idx.reshape(-1), np.arange(T * B)] = 1.0
                 S = onehot @ dZ
                 grads[f"{prefix}_Wx"] += emb_rows.T @ S
                 d_emb_rows += S @ Wx.T
             else:
                 u_doc = cache.inputs[layer - 1]
-                u = u_doc if direction == "fwd" else u_doc[rows, rev]
-                grads[f"{prefix}_Wx"] += u.reshape(B * T, -1).T @ dZ
-                dU_local = (dZ @ Wx.T).reshape(B, T, -1)
-                dU_doc = dU_local if direction == "fwd" else dU_local[rows, rev]
+                u = u_doc if direction == "fwd" else u_doc[rev, cols]
+                grads[f"{prefix}_Wx"] += u.reshape(T * B, -1).T @ dZ
+                dU_local = (dZ @ Wx.T).reshape(T, B, -1)
+                dU_doc = dU_local if direction == "fwd" else dU_local[rev, cols]
                 dU_total = dU_doc if dU_total is None else dU_total + dU_doc
         if layer > 0:
             d_dropped[layer - 1] += dU_total
@@ -526,41 +536,42 @@ def _backprop_direction(
     gb: np.ndarray,
 ) -> np.ndarray:
     """Reverse-time pass for one direction, accumulating into the recurrent
-    weight and bias gradient buffers.  Returns the (B*T, 4H) gate
-    pre-activation gradient dZ, from which the caller takes the input
-    weight and input gradients.
+    weight and bias gradient buffers.  ``dh_seq`` is (T, B, H) in this
+    direction's time order.  Returns the (T*B, 4H) gate pre-activation
+    gradient dZ, from which the caller takes the input weight and input
+    gradients.
 
     Each step's dz replaces that step's activated gates in ``cache.gates``,
     so the cache is spent afterwards and dZ is a view of it.  Only
     ``dz @ Wh.T`` is sequential; the recurrent weight gradient is one
     whole-sequence GEMM after the loop.
     """
-    B, T, H = dh_seq.shape
+    T, B, H = dh_seq.shape
     dtype = dh_seq.dtype
     gates = cache.gates
+    WhT = np.ascontiguousarray(Wh.T)  # faster per step than the transposed view
     dh_next = np.zeros((B, H), dtype)
     dc_next = np.zeros((B, H), dtype)
     zeros = np.zeros((B, H), dtype)
     for t in range(T - 1, -1, -1):
-        act = gates[:, t].copy()
+        act = gates[t].copy()
         i, f = act[:, :H], act[:, H : 2 * H]
         g, o = act[:, 2 * H : 3 * H], act[:, 3 * H :]
-        c_prev = cache.c[:, t - 1] if t > 0 else zeros
-        tc = np.tanh(cache.c[:, t])
-        dh = dh_seq[:, t] + dh_next
+        c_prev = cache.c[t - 1] if t > 0 else zeros
+        tc = np.tanh(cache.c[t])
+        dh = dh_seq[t] + dh_next
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        dz = gates[:, t]
+        dz = gates[t]
         np.multiply(dc * g, i * (1.0 - i), out=dz[:, :H])
         np.multiply(dc * c_prev, f * (1.0 - f), out=dz[:, H : 2 * H])
         np.multiply(dc * i, 1.0 - g * g, out=dz[:, 2 * H : 3 * H])
         np.multiply(dh * tc, o * (1.0 - o), out=dz[:, 3 * H :])
-        dh_next = dz @ Wh.T
+        dh_next = dz @ WhT
         dc_next = dc * f
-    dZ = gates.reshape(B * T, 4 * H)
-    # step t's recurrent input is h[t-1]; h[-1] = 0 contributes nothing
-    h_prev = np.zeros_like(cache.h)
-    h_prev[:, 1:] = cache.h[:, :-1]
-    gWh += h_prev.reshape(B * T, H).T @ dZ
+    dZ = gates.reshape(T * B, 4 * H)
+    # step t's recurrent input is h[t-1]; h[-1] = 0 contributes nothing, so
+    # the first step's B rows of dZ drop out
+    gWh += cache.h[:-1].reshape((T - 1) * B, H).T @ dZ[B:]
     gb += dZ.sum(axis=0)
     return dZ
 
@@ -712,9 +723,9 @@ def save_checkpoint(
     vocabulary, capability sets, free-form metadata), then each array as a
     length-prefixed name, u32 rank, u32 dims and row-major float32 bytes.
     All integers little-endian.  Arrays are written in sorted name order so
-    equal models produce identical bytes.  They go to ``<path>.tmp``, are
-    synced to disk, and then replace ``path`` whole, so a crash mid-write
-    leaves the previous checkpoint intact.
+    equal models produce identical bytes.  They are written straight to
+    ``<path>.tmp``, synced to disk, and then replace ``path`` whole, so a
+    crash mid-write leaves the previous checkpoint intact.
     """
     header = {
         "config": dataclasses.asdict(config),
@@ -724,25 +735,25 @@ def save_checkpoint(
         "meta": meta or {},
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<I", len(params)))
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
-        name_b = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(name_b)))
-        buf.write(name_b)
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(arr.tobytes(order="C"))
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(buf.getvalue())
+            f.write(
+                CHECKPOINT_MAGIC
+                + struct.pack("<II", CHECKPOINT_VERSION, len(blob))
+                + blob
+                + struct.pack("<I", len(params))
+            )
+            for name in sorted(params):
+                arr = np.ascontiguousarray(params[name], dtype="<f4")
+                name_b = name.encode("utf-8")
+                f.write(
+                    struct.pack("<I", len(name_b))
+                    + name_b
+                    + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+                )
+                f.write(memoryview(arr).cast("B"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

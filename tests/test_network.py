@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -194,19 +195,28 @@ class TestForward:
         for name in a:
             assert np.array_equal(a[name][perm], b[name])
 
-    @pytest.mark.parametrize("residual", [False, True])
-    def test_no_cache_forward_matches_cached(self, residual):
-        config = tiny_config(dropout=0.1, residual=residual)
-        params = init_params(config, seed=6)
-        ids, lengths, _, _ = make_synthetic_batch(config, batch=5, width=9, seed=7)
-        masks = make_dropout_masks(config, 5, 9, np.random.default_rng(8))
-        cached, cache = forward(params, config, ids, lengths, dropout_masks=masks)
-        bare, none = forward(
-            params, config, ids, lengths, dropout_masks=masks, keep_cache=False
+    @pytest.mark.parametrize(
+        "dim, batch, width, residual",
+        [(8, 5, 9, False), (8, 5, 9, True), (16, 16, 40, False), (400, 3, 80, False)],
+        ids=["False", "True", "hidden16", "paper"],  # the first two name residual
+    )
+    def test_no_cache_forward_matches_cached(self, dim, batch, width, residual):
+        # inference keeps one rolling cell state per direction instead of
+        # every step's; the logits must not move by a bit
+        config = ModelConfig(
+            vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim, residual=residual
         )
-        assert cache is not None and none is None
-        for name in cached:
-            assert np.array_equal(cached[name], bare[name])
+        params = init_params(config, seed=6)
+        ids, lengths, _, _ = make_synthetic_batch(config, batch, width, seed=7)
+        lengths[-1] = 1  # mixed lengths, down to a single letter
+        ids[-1, 1:] = 0
+        masks = make_dropout_masks(config, batch, width, np.random.default_rng(8))
+        for drop in (None, masks):
+            cached, cache = forward(params, config, ids, lengths, dropout_masks=drop)
+            bare, none = forward(params, config, ids, lengths, drop, keep_cache=False)
+            assert cache is not None and none is None
+            for name in cached:
+                assert np.array_equal(cached[name], bare[name])
 
     def test_rejects_out_of_range_ids(self):
         config = tiny_config()
@@ -515,17 +525,29 @@ class TestCheckpoint:
         self._save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_format_is_pinned(self, tmp_path):
+        # the bytes of a small seeded checkpoint, as the BytesIO writer made
+        # them; a change to the layout, the header or the array order moves
+        # the hash and breaks every checkpoint already written
+        path = tmp_path / "m.nkdm"
+        self._save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "897d2035d579b71e5792664ff330cbd5ee95b7c87c53a1d249b2125b5734dcfe"
+        )
+
+    @pytest.mark.parametrize("fail_at", ["write", "array-write", "fsync"])
     def test_failed_save_keeps_previous(self, tmp_path, monkeypatch, fail_at):
         path = tmp_path / "m.nkdm"
         params, _, _ = self._save(path, seed=11)
         before = path.read_bytes()
 
         class HalfWriter:
-            """A file that takes half of what it is given, then fails."""
+            """A file that passes ``good`` writes through, then takes half of
+            the next one and fails."""
 
-            def __init__(self, f):
+            def __init__(self, f, good):
                 self.f = f
+                self.good = good
 
             def __enter__(self):
                 return self
@@ -534,16 +556,21 @@ class TestCheckpoint:
                 self.f.close()
 
             def write(self, data):
+                if self.good:
+                    self.good -= 1
+                    return self.f.write(data)
                 self.f.write(data[: len(data) // 2])
                 self.f.flush()
                 raise OSError(28, "No space left on device")
 
-        if fail_at == "write":
+        if fail_at != "fsync":
+            # the first write is the header; the tenth lies among the arrays
+            good = 0 if fail_at == "write" else 9
             real_open = open
             monkeypatch.setattr(
                 network,
                 "open",
-                lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                lambda *a, **kw: HalfWriter(real_open(*a, **kw), good),
                 raising=False,
             )
         else:
