@@ -2,8 +2,9 @@
 
 Subcommands: ``train``, ``dot``, ``eval``, ``stats`` and ``gradcheck``.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 a
-check failed, 2 usage error (argparse), 3 data problems, 4 unreadable or
-incompatible checkpoints.
+check failed, 2 usage error (argparse), 3 data problems (a config value of
+the wrong type among them), 4 unreadable or incompatible checkpoints, and
+models whose states or logits go non-finite in ``dot`` or ``eval``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from .metrics import LetterStreamMismatch, evaluate, render_report
 from .network import (
     CorruptCheckpoint,
     ModelConfig,
+    NonFiniteActivation,
     VersionMismatch,
     gradient_check,
     make_dropout_masks,
@@ -33,6 +36,10 @@ log = logging.getLogger(__name__)
 
 _PLAN_KEYS = {f.name for f in dataclasses.fields(TrainPlan)}
 _MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"vocab_size"}
+_FIELD_TYPES = {**typing.get_type_hints(TrainPlan), **typing.get_type_hints(ModelConfig)}
+# the parsed value types each field type accepts; bool is an int subtype and
+# is told apart separately
+_ACCEPTED = {int: int, float: (int, float), bool: bool, str: str}
 
 
 def _open_in(target: str):
@@ -57,6 +64,14 @@ def _merge_settings(args: argparse.Namespace) -> tuple[ModelConfig | None, Train
             raise ValueError(
                 f"unknown config key(s): {', '.join(sorted(unknown))}"
             )
+        for key, value in from_file.items():
+            want = _FIELD_TYPES[key]
+            if isinstance(value, bool) != (want is bool) or not isinstance(
+                value, _ACCEPTED[want]
+            ):
+                raise ValueError(
+                    f"{args.config}: {key} must be {want.__name__}, got {value!r}"
+                )
 
     def collect(keys: set[str]) -> dict[str, object]:
         merged = {k: v for k, v in from_file.items() if k in keys}
@@ -273,6 +288,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CorruptCheckpoint, VersionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except NonFiniteActivation as exc:
+        if args.command not in ("dot", "eval"):
+            raise  # a diverging training run keeps its log line and traceback
+        print(f"error: the model is unusable: {exc}", file=sys.stderr)
         return 4
     except (
         EmptyCorpus,

@@ -10,14 +10,15 @@ have both), are removed with a warning.  Everything downstream works on
 once.  A document is columnar: its letter stream plus one int8 array of
 codec label values per category; encoding and scoring slice those arrays,
 and :func:`codec.insert_marks` renders them back into dotted text.
+Letter masks, vocabulary ids and token spans are gathers from tables
+indexed by code point, each built once.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,6 +35,7 @@ from .codec import (
     NIQQUD_CAPABLE,
     PUNCT_WHITELIST,
     SHIN,
+    _HEBREW_SET,
     insert_marks,
     parse,
     strip_diacritics,
@@ -155,23 +157,25 @@ def load_corpus(root: Path, split: str) -> list[Document]:
     return load_dir(Path(root) / split, source=split)
 
 
-# A token is a maximal run of Hebrew letters, allowing geresh, gershayim or
-# their ASCII stand-ins between letters (acronyms and abbreviations).
-_TOKEN_RE = re.compile(
-    "[{heb}]+(?:[{join}][{heb}]+)*".format(
-        heb=HEBREW_LETTERS, join=re.escape(GERESH + GERSHAYIM + "'\"")
-    )
-)
-
-
 def hebrew_token_count(text: str) -> int:
     """Count Hebrew tokens in (normalized or plain-letter) text."""
-    return sum(1 for _ in _TOKEN_RE.finditer(text))
+    return len(token_spans(text))
 
 
-def token_spans(letters: str) -> list[tuple[int, int]]:
-    """Half-open spans of every Hebrew token in a letter stream."""
-    return [m.span() for m in _TOKEN_RE.finditer(letters)]
+_TOKEN_JOINERS = frozenset(GERESH + GERSHAYIM + "'\"")
+
+
+def token_spans(letters: str) -> np.ndarray:
+    """Half-open spans of every Hebrew token in a letter stream, as (n, 2)
+    rows of start and end.  A token is a maximal run of Hebrew letters; a
+    geresh, gershayim or their ASCII stand-in joins the letters on its two
+    sides (acronyms and abbreviations)."""
+    inside = letter_mask(letters, _HEBREW_SET)
+    joins = letter_mask(letters, _TOKEN_JOINERS)
+    inside[1:-1] |= joins[1:-1] & inside[:-2] & inside[2:]
+    # a token starts and ends wherever ``inside`` flips
+    edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+    return edges.reshape(-1, 2)
 
 
 def chunk_spans(letters: str, max_len: int = MAX_CHUNK_LEN) -> list[tuple[int, int]]:
@@ -210,15 +214,13 @@ class Vocabulary:
     PAD = 0
     UNK = 1
 
-    def __init__(self, extra: Sequence[str] = ()) -> None:
-        alphabet = (
+    def __init__(self) -> None:
+        self._index(
             [" "]
             + list(PUNCT_WHITELIST)
             + [DIGIT_SYMBOL, LATIN_SYMBOL]
             + list(HEBREW_LETTERS)
-            + list(extra)
         )
-        self._index(alphabet)
 
     def _index(self, alphabet: list[str]) -> None:
         self.id_to_char: list[str | None] = [None, None] + alphabet
@@ -227,6 +229,7 @@ class Vocabulary:
         }
         if len(self.char_to_id) != len(alphabet):
             raise ValueError("duplicate characters in vocabulary")
+        self._ids = _id_table("".join(alphabet))
 
     @property
     def size(self) -> int:
@@ -236,11 +239,7 @@ class Vocabulary:
         return self.char_to_id.get(ch, self.UNK)
 
     def encode(self, letters: str) -> np.ndarray:
-        return np.fromiter(
-            (self.char_to_id.get(ch, self.UNK) for ch in letters),
-            dtype=np.int32,
-            count=len(letters),
-        )
+        return self._ids.take(_code_points(letters), mode="clip")
 
     def to_json(self) -> dict:
         return {"alphabet": "".join(self.id_to_char[2:])}
@@ -272,10 +271,38 @@ class Chunk:
         return int(self.letter_ids.shape[0])
 
 
+def _code_points(text: str) -> np.ndarray:
+    """The code point of every character, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+@lru_cache(maxsize=16)
+def _id_table(alphabet: str) -> np.ndarray:
+    """Read-only vocabulary ids indexed by code point: letter i of
+    ``alphabet`` has id i + 2, and every other code point has UNK, the last
+    entry, one past the largest letter, standing for all larger ones."""
+    codes = _code_points(alphabet)
+    table = np.full(int(codes.max(initial=0)) + 2, Vocabulary.UNK, np.int32)
+    table[codes] = np.arange(2, len(alphabet) + 2, dtype=np.int32)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=16)
+def _char_table(chars: frozenset[str]) -> np.ndarray:
+    """Read-only bool table indexed by code point, True at ``chars``; its
+    last entry, one past the largest of them, is False for every larger
+    code point."""
+    codes = _code_points("".join(chars))
+    table = np.zeros(int(codes.max(initial=0)) + 2, bool)
+    table[codes] = True
+    table.flags.writeable = False
+    return table
+
+
 def letter_mask(letters: str, chars: Iterable[str]) -> np.ndarray:
     """Bool array, True where the letter is one of ``chars``."""
-    codes = np.frombuffer(letters.encode("utf-32-le"), dtype="<u4")
-    return np.isin(codes, [ord(ch) for ch in chars])
+    return _char_table(frozenset(chars)).take(_code_points(letters), mode="clip")
 
 
 def decision_masks(
@@ -302,6 +329,7 @@ def encode_document(
 ) -> list[Chunk]:
     """Chunk and encode one document into model inputs and training targets."""
     letters = doc.letters
+    ids = vocab.encode(letters)
     masks = decision_masks(letters, dagesh_capable, niqqud_capable)
 
     chunks = []
@@ -319,7 +347,7 @@ def encode_document(
             Chunk(
                 doc_id=doc.id,
                 offset=start,
-                letter_ids=vocab.encode(letters[start:end]),
+                letter_ids=ids[start:end],
                 golds={k: doc.labels[k][start:end] for k in CATEGORIES},
                 masks={k: masks[k][start:end] for k in CATEGORIES},
             )

@@ -28,7 +28,7 @@ from .corpus import (
     encode_document,
     make_batches,
 )
-from .network import Checkpoint, ModelConfig, forward, load_checkpoint
+from .network import Checkpoint, ModelConfig, forward, layer0_tables, load_checkpoint
 
 __all__ = ["INFERENCE_BATCH_SIZE", "Dotter", "decode_labels"]
 
@@ -59,7 +59,9 @@ INFERENCE_BATCH_SIZE = 16
 
 
 class Dotter:
-    """Wraps a trained checkpoint for dotting strings and documents."""
+    """Wraps a trained checkpoint for dotting strings and documents.  Layer
+    0's input term of every vocabulary id is computed once, at construction,
+    and each batch gathers from it."""
 
     def __init__(
         self, checkpoint: Checkpoint, batch_size: int = INFERENCE_BATCH_SIZE
@@ -67,6 +69,7 @@ class Dotter:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self.params = checkpoint.params
+        self.layer0 = layer0_tables(checkpoint.params)
         self.config: ModelConfig = checkpoint.config
         self.vocab: Vocabulary = checkpoint.vocab
         self.dagesh_capable = checkpoint.dagesh_capable
@@ -127,6 +130,7 @@ class Dotter:
             batch.letter_ids,
             batch.lengths,
             keep_cache=False,
+            layer0=self.layer0,
         )
         return decode_labels(logits, batch.masks)
 

@@ -92,9 +92,9 @@ _VOWEL_CLASS[[Niqqud.HOLAM, Niqqud.HATAF_QAMATS]] = 4
 _VOWEL_CLASS[Niqqud.QUBUTS] = 5
 
 
-def _tokens_ok(letters: str, char_ok: np.ndarray) -> Counts:
-    """Tokens whose every letter is ok, by a running count of bad letters."""
-    spans = np.array(token_spans(letters), dtype=np.intp).reshape(-1, 2)
+def _tokens_ok(spans: np.ndarray, char_ok: np.ndarray) -> Counts:
+    """Tokens, as (n, 2) spans, whose every letter is ok, by a running count
+    of bad letters."""
     bad_before = np.concatenate(([0], np.cumsum(~char_ok)))
     bad = bad_before[spans[:, 1]] - bad_before[spans[:, 0]]
     return Counts(int((bad == 0).sum()), len(spans))
@@ -117,12 +117,13 @@ def score_document(gold: Document, pred: Document) -> DocScores:
         & (~bkp | ((g["dagesh"] != 0) == (p["dagesh"] != 0)))
     )
     has = slots > 0
+    spans = token_spans(gold.letters)
     return DocScores(
         doc_id=gold.id,
         dec=Counts(int(slots.sum() - wrong.sum()), int(slots.sum())),
         cha=Counts(int((has & char_ok).sum()), int(has.sum())),
-        wor=_tokens_ok(gold.letters, char_ok),
-        voc=_tokens_ok(gold.letters, same_sound),
+        wor=_tokens_ok(spans, char_ok),
+        voc=_tokens_ok(spans, same_sound),
     )
 
 

@@ -14,7 +14,9 @@ buffer, gates laid out i|f|g|o, and keeps its cell and hidden states as
 all time steps before the time loop.  Layer 0 reads embedding rows of only
 a few dozen letters, so it projects each distinct letter of the batch once
 and gathers that table into time order; the layers above take one
-whole-sequence GEMM.  The time loop adds only ``h @ Wh`` and activates the
+whole-sequence GEMM.  Inference gathers layer 0 instead from tables of
+every vocabulary id, which :func:`layer0_tables` builds once per loaded
+model.  The time loop adds only ``h @ Wh`` and activates the
 gates in place, sigmoid written as ``0.5 * tanh(0.5 * x) + 0.5``.  The
 backward pass writes each step's gate gradient into the same buffer, keeps
 only ``dz @ Wh.T`` in the reverse loop, and computes the weight, bias and
@@ -38,7 +40,10 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -54,8 +59,10 @@ __all__ = [
     "CorruptCheckpoint",
     "VersionMismatch",
     "Checkpoint",
+    "param_shapes",
     "init_params",
     "make_dropout_masks",
+    "layer0_tables",
     "forward",
     "effective_targets",
     "masked_loss",
@@ -121,35 +128,45 @@ class ModelConfig:
 _DIRECTIONS = ("fwd", "bwd")
 
 
-def init_params(
-    config: ModelConfig, seed: int, dtype: np.dtype = np.float32
-) -> dict[str, np.ndarray]:
-    """Fresh parameters.  Weights are Xavier-uniform, biases zero except the
-    forget-gate slice, which starts at 1 so early gradients flow."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+@lru_cache(maxsize=8)
+def param_shapes(config: ModelConfig) -> Mapping[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order :func:`init_params`
+    draws them; read-only, built once per config."""
     h = config.hidden_dim
-
-    def xavier(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-    params: dict[str, np.ndarray] = {}
-    params["embedding"] = xavier(config.vocab_size, config.embed_dim)
+    shapes = {"embedding": (config.vocab_size, config.embed_dim)}
     in_dim = config.embed_dim
     for layer in range(config.num_layers):
         for direction in _DIRECTIONS:
             prefix = f"lstm{layer}_{direction}"
-            params[f"{prefix}_Wx"] = xavier(in_dim, 4 * h)
-            params[f"{prefix}_Wh"] = xavier(h, 4 * h)
-            b = np.zeros(4 * h, dtype=dtype)
-            b[h : 2 * h] = 1.0  # gate layout: input | forget | cell | output
-            params[f"{prefix}_b"] = b
+            shapes[f"{prefix}_Wx"] = (in_dim, 4 * h)
+            shapes[f"{prefix}_Wh"] = (h, 4 * h)
+            shapes[f"{prefix}_b"] = (4 * h,)
         in_dim = 2 * h
-    params["proj_W"] = xavier(2 * h, 2 * h)
-    params["proj_b"] = np.zeros(2 * h, dtype=dtype)
+    shapes["proj_W"] = (2 * h, 2 * h)
+    shapes["proj_b"] = (2 * h,)
     for k in CATEGORIES:
-        params[f"head_{k}_W"] = xavier(2 * h, HEAD_SIZES[k])
-        params[f"head_{k}_b"] = np.zeros(HEAD_SIZES[k], dtype=dtype)
+        shapes[f"head_{k}_W"] = (2 * h, HEAD_SIZES[k])
+        shapes[f"head_{k}_b"] = (HEAD_SIZES[k],)
+    return MappingProxyType(shapes)
+
+
+def init_params(
+    config: ModelConfig, seed: int, dtype: np.dtype = np.float32
+) -> dict[str, np.ndarray]:
+    """Fresh parameters.  Weights are Xavier-uniform, biases zero except the
+    LSTM forget-gate slice, which starts at 1 so early gradients flow."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    h = config.hidden_dim
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            fan_in, fan_out = shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        else:
+            params[name] = np.zeros(shape, dtype=dtype)
+            if name.startswith("lstm"):
+                params[name][h : 2 * h] = 1.0  # gate layout: input | forget | cell | output
     return params
 
 
@@ -238,6 +255,18 @@ def _run_direction(gates: np.ndarray, Wh: np.ndarray, keep_cells: bool) -> _DirC
     return _DirCache(gates=gates, c=c_s, h=h_s)
 
 
+def layer0_tables(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Per direction, layer 0's input term ``embedding @ Wx + b`` of every
+    vocabulary id, (V, 4H): what :func:`forward` gathers from when the
+    weights stay fixed between calls (inference)."""
+    tables = {}
+    for direction in _DIRECTIONS:
+        table = params["embedding"] @ params[f"lstm0_{direction}_Wx"]
+        table += params[f"lstm0_{direction}_b"]
+        tables[direction] = table
+    return tables
+
+
 def forward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
@@ -245,6 +274,7 @@ def forward(
     lengths: np.ndarray,
     dropout_masks: list[np.ndarray] | None = None,
     keep_cache: bool = True,
+    layer0: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], ForwardCache | None]:
     """Score every position.  Returns per-category logits (B, T, n_labels)
     and the cache that :func:`loss_and_grads` consumes.
@@ -253,6 +283,10 @@ def forward(
     direction keeps only a rolling cell state and drops its gate buffer as
     soon as its hidden states have been taken, which cuts peak memory to
     about a third.  The logits are the same either way, bit for bit.
+    ``layer0``, the :func:`layer0_tables` of ``params``, makes layer 0 a
+    gather from them instead of a product per batch; the tests pin the
+    logits bitwise equal to the per-batch path.  Raises NonFiniteActivation
+    if a state or a logit is not finite.
     """
     if ids.ndim != 2:
         raise ShapeMismatch(f"ids must be (batch, time), got shape {ids.shape}")
@@ -277,8 +311,12 @@ def forward(
     rank[letters] = np.arange(letters.size)
     idx = rank[ids.T]
     # numpy sends a one-row product to gemv, which rounds unlike the gemm of
-    # a longer batch; a repeated letter keeps the table on gemm
-    table_rows = emb[letters if letters.size > 1 or ids.size == 1 else letters.repeat(2)]
+    # a longer batch or of the vocabulary tables: a one-position batch
+    # projects its letter itself, and a repeated letter keeps the table on gemm
+    if ids.size == 1:
+        layer0 = None
+    if layer0 is None:
+        table_rows = emb[letters if letters.size > 1 or ids.size == 1 else letters.repeat(2)]
 
     H = config.hidden_dim
     directions: list[dict[str, _DirCache]] = []
@@ -291,10 +329,13 @@ def forward(
             prefix = f"lstm{layer}_{direction}"
             Wx, b = params[f"{prefix}_Wx"], params[f"{prefix}_b"]
             if layer == 0:
-                # one row per distinct letter, gathered into time order
-                table = table_rows @ Wx
-                table += b
-                gates = table[idx if direction == "fwd" else idx[rev, cols]]
+                if layer0 is not None:
+                    table, at = layer0[direction], ids.T
+                else:
+                    # one row per distinct letter, gathered into time order
+                    table, at = table_rows @ Wx, idx
+                    table += b
+                gates = table[at if direction == "fwd" else at[rev, cols]]
             else:
                 x = dropped[-1] if direction == "fwd" else dropped[-1][rev, cols]
                 gates = (x.reshape(T * B, -1) @ Wx).reshape(T, B, -1)
@@ -323,6 +364,8 @@ def forward(
     P = feats @ params["proj_W"] + params["proj_b"]
     logits = {k: P @ params[f"head_{k}_W"] + params[f"head_{k}_b"] for k in CATEGORIES}
     assert dtype == feats.dtype
+    if not all(np.all(np.isfinite(v)) for v in logits.values()):
+        raise NonFiniteActivation("the heads produced non-finite logits")
     if not keep_cache:
         return logits, None
     cache = ForwardCache(
@@ -766,7 +809,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises VersionMismatch for a future format version and CorruptCheckpoint
-    for anything that does not parse cleanly.
+    for anything that does not parse cleanly, or for arrays whose names and
+    shapes differ from :func:`param_shapes` of the stored config.
     """
     data = Path(path).read_bytes()
     view = memoryview(data)
@@ -798,12 +842,20 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             raise CorruptCheckpoint(f"{path}: vocabulary size != config.vocab_size")
         dagesh_capable = frozenset(header["dagesh_capable"])
         niqqud_capable = frozenset(header["niqqud_capable"])
+        # names and shapes only: a pass over the elements would cost more
+        # than the load; non-finite weights surface as NonFiniteActivation
+        expected = param_shapes(config)
         n_arrays = take_u32()
         params: dict[str, np.ndarray] = {}
         for _ in range(n_arrays):
             name = bytes(take(take_u32())).decode("utf-8")
             rank = take_u32()
             shape = struct.unpack(f"<{rank}I", take(4 * rank))
+            if expected.get(name) != shape or name in params:
+                raise CorruptCheckpoint(
+                    f"{path}: array {name!r} of shape {shape} is unexpected,"
+                    " misshapen or repeated for the config"
+                )
             n_items = int(np.prod(shape)) if rank else 1
             arr = np.frombuffer(take(4 * n_items), dtype="<f4").reshape(shape)
             params[name] = arr.astype(np.float32)  # owned, writable copy
@@ -813,6 +865,9 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from exc
     if pos != len(view):
         raise CorruptCheckpoint(f"{path}: {len(view) - pos} trailing bytes")
+    if len(params) != len(expected):
+        missing = ", ".join(sorted(expected.keys() - params.keys()))
+        raise CorruptCheckpoint(f"{path}: arrays missing for the config: {missing}")
     return Checkpoint(
         params=params,
         config=config,

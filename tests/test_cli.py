@@ -1,12 +1,17 @@
+import dataclasses
 import io
 import json
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hebdot.cli import main
+from hebdot.cli import _FIELD_TYPES, _merge_settings, build_parser, main
 from hebdot.dotter import Dotter
-from hebdot.network import load_checkpoint
+from hebdot.network import ModelConfig, load_checkpoint, save_checkpoint
+from hebdot.trainer import TrainPlan
 
 
 BUNDLED_STATS = [
@@ -108,6 +113,24 @@ class TestTrain:
         assert code == 3
         assert "learning_rate" in err
 
+    @pytest.mark.parametrize(
+        "line", ["hidden_dim = banana", "seed = 1.5", "residual = 1", "dropout = true",
+                 "lr_policy = 3"]
+    )
+    def test_config_value_of_wrong_type(self, capsys, bundled_corpus_root, tmp_path, line):
+        conf = tmp_path / "train.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(bundled_corpus_root),
+            "--out", str(tmp_path / "m.nkdm"),
+            "--config", str(conf),
+        )
+        assert code == 3
+        assert line.split()[0] in err
+        assert not (tmp_path / "m.nkdm").exists()
+
     def test_missing_corpus(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -194,6 +217,83 @@ class TestDot:
         code, _, err = run(capsys, "dot", "--model", str(bad), str(src))
         assert code == 4
         assert "error:" in err
+
+
+class TestBadModels:
+    """Checkpoints that parse but do not fit their config exit 4 at load;
+    weights that drive a state or a logit non-finite exit 4 from dot and
+    eval, with an error line and no traceback."""
+
+    EDITS = {
+        "missing": lambda p: p.pop("proj_b"),
+        "misshapen": lambda p: p.update(proj_W=p["proj_W"][:, :-1]),
+        "nan_recurrent": lambda p: p["lstm0_fwd_Wh"].__setitem__((0, 0), np.nan),
+        "nan_projection": lambda p: p["proj_W"].__setitem__((0, 0), np.nan),
+    }
+
+    @pytest.fixture(params=sorted(EDITS))
+    def bad_model(self, request, random_checkpoint, tmp_path):
+        ckpt = load_checkpoint(random_checkpoint)
+        params = {k: v.copy() for k, v in ckpt.params.items()}
+        self.EDITS[request.param](params)
+        path = tmp_path / "bad.nkdm"
+        save_checkpoint(path, params, ckpt.config, ckpt.vocab)
+        return path
+
+    def test_dot(self, capsys, bad_model, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("שלום עולם\n", encoding="utf-8")
+        code, out, err = run(capsys, "dot", "--model", str(bad_model), str(src))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_eval(self, capsys, bad_model, bundled_corpus_root):
+        code, out, err = run(
+            capsys, "eval", "--model", str(bad_model), "--gold",
+            str(bundled_corpus_root / "test"),
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:")
+
+
+# config lines: known keys (and a few unknown ones) with values of any type
+config_lines = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_FIELD_TYPES) + ["learning_rate", "vocab_size"]),
+        st.one_of(
+            st.integers(-5, 500).map(str),
+            st.floats(allow_nan=True).map(repr),
+            st.sampled_from(["true", "False", "banana", "triangular2", "exp_range"]),
+            st.text(st.characters(exclude_characters="#\n\r"), max_size=8),
+        ),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    max_size=6,
+)
+
+
+@given(lines=config_lines)
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_merge_gives_valid_settings_or_value_error(tmp_path, lines):
+    conf = tmp_path / "train.conf"
+    conf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = build_parser().parse_args(
+        ["train", "--corpus", "c", "--out", "o", "--config", str(conf)]
+    )
+    try:
+        config, plan = _merge_settings(args)
+    except ValueError:
+        return
+    assert isinstance(plan, TrainPlan)
+    merged = dataclasses.asdict(plan)
+    if config is not None:
+        assert isinstance(config, ModelConfig)
+        merged.update(dataclasses.asdict(config))
+    for field, value in merged.items():
+        want = _FIELD_TYPES[field]
+        assert isinstance(value, bool) == (want is bool), field
+        assert isinstance(value, (int, float) if want is float else want), field
 
 
 class TestEval:

@@ -2,12 +2,17 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hebdot.codec import (
+    _TYPOGRAPHIC_MAP,
+    BKP_LETTERS,
     DAGESH_CAPABLE,
+    GERESH,
+    GERSHAYIM,
     NIQQUD_CAPABLE,
+    SHIN,
     Niqqud,
     parse,
     strip_diacritics,
@@ -22,6 +27,7 @@ from hebdot.corpus import (
     chunk_spans,
     encode_document,
     hebrew_token_count,
+    letter_mask,
     load_corpus,
     load_dir,
     load_file,
@@ -30,6 +36,7 @@ from hebdot.corpus import (
     token_spans,
 )
 
+import corpus_oracle
 from codec_oracle import normalize
 from conftest import doc_from_text
 
@@ -248,9 +255,68 @@ class TestVocabulary:
                 for ch in doc.letters:
                     assert vocab.id(ch) != vocab.UNK, ch
 
-    def test_duplicate_extra_rejected(self):
-        with pytest.raises(ValueError):
-            Vocabulary(extra=["א"])
+    def test_duplicate_alphabet_rejected(self):
+        alphabet = Vocabulary().to_json()["alphabet"]
+        with pytest.raises(ValueError, match="duplicate"):
+            Vocabulary.from_json({"alphabet": alphabet + "א"})
+
+
+# Text for the code-point tables: the model alphabet, the Hebrew marks,
+# typographic quotes, code points past every table (astral ones among them)
+# and lone surrogates.
+_ALPHABET = Vocabulary().to_json()["alphabet"]
+table_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(_ALPHABET),
+        st.sampled_from([chr(c) for c in range(0x0591, 0x05C8)]),
+        st.sampled_from(sorted(_TYPOGRAPHIC_MAP)),
+        st.characters(min_codepoint=0x05F5),
+        st.characters(min_codepoint=0x10000),
+        st.integers(0xD800, 0xDFFF).map(chr),
+    ),
+    max_size=60,
+)
+char_sets = st.one_of(
+    st.sampled_from(
+        [DAGESH_CAPABLE, NIQQUD_CAPABLE, SHIN, BKP_LETTERS, GERESH + GERSHAYIM + "'\""]
+    ),
+    st.frozensets(st.one_of(st.sampled_from(_ALPHABET), st.characters()), max_size=5),
+)
+
+
+class TestCodePointTables:
+    @given(table_text, char_sets)
+    @example("", SHIN)
+    @example("\ud800ש\U0001f600", frozenset())
+    @settings(max_examples=300)
+    def test_letter_mask_matches_isin(self, text, chars):
+        got = letter_mask(text, chars)
+        assert got.dtype == bool
+        assert np.array_equal(got, corpus_oracle.letter_mask(text, chars))
+
+    @given(table_text)
+    @example("")
+    @settings(max_examples=300)
+    def test_encode_matches_lookup(self, text):
+        vocab = Vocabulary()
+        got = vocab.encode(text)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, corpus_oracle.encode(vocab, text))
+
+    @given(table_text)
+    @settings(max_examples=100)
+    def test_encode_with_astral_alphabet(self, text):
+        vocab = Vocabulary.from_json({"alphabet": _ALPHABET + "\U0001f600"})
+        assert np.array_equal(vocab.encode(text), corpus_oracle.encode(vocab, text))
+
+    @given(table_text)
+    @example("")
+    @example("צה״ל ש׳ א''ב \"אב\" ג'ד'ה")
+    @settings(max_examples=300)
+    def test_token_spans_match_regex(self, text):
+        spans = token_spans(text)
+        assert [tuple(s) for s in spans.tolist()] == corpus_oracle.token_spans(text)
+        assert hebrew_token_count(text) == len(spans)
 
 
 class TestEncodeDocument:

@@ -19,14 +19,16 @@ from hebdot.network import (
     forward,
     gradient_check,
     init_params,
+    layer0_tables,
     load_checkpoint,
     loss_and_grads,
     make_dropout_masks,
     make_synthetic_batch,
     masked_loss,
+    param_shapes,
     save_checkpoint,
 )
-from hebdot.corpus import Vocabulary
+from hebdot.corpus import SPLITS, Vocabulary, encode_document, load_corpus, make_batches
 from network_oracle import reference_forward
 
 
@@ -241,6 +243,60 @@ class TestForward:
         ids, lengths, _, _ = make_synthetic_batch(config, batch=2, width=4, seed=0)
         with pytest.raises(NonFiniteActivation):
             forward(params, config, ids, lengths)
+
+    @pytest.mark.parametrize("name", ["proj_W", "head_sin_b"])
+    def test_nonfinite_logits_detected(self, name):
+        config = tiny_config()
+        params = init_params(config, seed=0)
+        params[name].reshape(-1)[0] = np.nan
+        ids, lengths, _, _ = make_synthetic_batch(config, batch=2, width=4, seed=0)
+        with pytest.raises(NonFiniteActivation, match="logits"):
+            forward(params, config, ids, lengths, keep_cache=False)
+
+
+class TestLayer0Tables:
+    """Logits with the whole-vocabulary layer-0 tables equal those of the
+    per-batch letter tables bit for bit: at batch 1 (a one-letter line, which
+    keeps the per-batch path, and a line of one repeated letter among them)
+    at hidden 16 and at the paper's size, and in 16-row batches at hidden
+    16."""
+
+    LINES = ["שלום עולם, מה שלומך היום? הכל בסדר.", "ההה", "א", "בא", "ש׳ #@"]
+
+    @staticmethod
+    def make_model(dim):
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim)
+        params = init_params(config, seed=12)
+        return params, config, layer0_tables(params)
+
+    @pytest.fixture(scope="class", params=[16, 400], ids=["hidden16", "paper"])
+    def model(self, request):
+        return self.make_model(request.param)
+
+    @staticmethod
+    def assert_same_logits(params, config, tables, ids, lengths):
+        want, _ = forward(params, config, ids, lengths, keep_cache=False)
+        got, _ = forward(params, config, ids, lengths, keep_cache=False, layer0=tables)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_batch_one_bitwise(self, model, line):
+        ids = Vocabulary().encode(line)[None, :]
+        self.assert_same_logits(*model, ids, np.array([ids.shape[1]]))
+
+    def test_sixteen_row_batches_bitwise(self, bundled_corpus_root):
+        vocab = Vocabulary()
+        chunks = [
+            c
+            for split in SPLITS
+            for d in load_corpus(bundled_corpus_root, split)
+            for c in encode_document(d, vocab)
+        ]
+        chunks.sort(key=lambda c: c.length)
+        model = self.make_model(16)
+        for batch in make_batches(chunks, 16):
+            self.assert_same_logits(*model, batch.letter_ids, batch.lengths)
 
 
 class TestNearPaperSize:
@@ -620,3 +676,38 @@ class TestCheckpoint:
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"NKDM"
+
+    def test_param_shapes_describe_init(self):
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=12, hidden_dim=8,
+                             num_layers=3, residual=True)
+        params = init_params(config, seed=0)
+        assert list(params) == list(param_shapes(config))
+        assert {k: v.shape for k, v in params.items()} == param_shapes(config)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.pop("proj_b"),
+            lambda p: p.update(extra=np.zeros(3, np.float32)),
+            lambda p: p.update(proj_W=p["proj_W"][:, :-1]),
+            lambda p: p.update(lstm1_bwd_b=p["lstm1_bwd_b"][None, :]),
+        ],
+        ids=["missing", "extra", "misshapen", "wrong-rank"],
+    )
+    def test_arrays_must_fit_the_config(self, tmp_path, edit):
+        path = tmp_path / "m.nkdm"
+        params, config, vocab = self._save(path)
+        edit(params)
+        save_checkpoint(path, params, config, vocab)
+        with pytest.raises(CorruptCheckpoint, match="for the config"):
+            load_checkpoint(path)
+
+    def test_repeated_array_detected(self, tmp_path):
+        path = tmp_path / "m.nkdm"
+        self._save(path)
+        blob = path.read_bytes()
+        # rename "proj_b" to "proj_W": same length, so only the name moves
+        at = blob.index(b"proj_b")
+        path.write_bytes(blob[:at] + b"proj_W" + blob[at + 6 :])
+        with pytest.raises(CorruptCheckpoint, match="repeated"):
+            load_checkpoint(path)
