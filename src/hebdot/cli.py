@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import logging
 import sys
 import typing
@@ -43,15 +44,20 @@ _ACCEPTED = {int: int, float: (int, float), bool: bool, str: str}
 
 
 def _open_in(target: str):
+    """The input of ``dot``, read with its line ends as they are, so CRLF
+    text stays CRLF; a real stdin is switched to read the same way."""
     if target == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(newline="")
         return sys.stdin
-    return open(target, "r", encoding="utf-8")
+    return open(target, "r", encoding="utf-8", newline="")
 
 
 def _open_out(target: str):
+    """The output of ``dot``, written with the line ends it is given."""
     if target == "-":
         return sys.stdout
-    return open(target, "w", encoding="utf-8")
+    return open(target, "w", encoding="utf-8", newline="")
 
 
 def _merge_settings(args: argparse.Namespace) -> tuple[ModelConfig | None, TrainPlan]:
@@ -111,17 +117,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     dotter = Dotter.load(args.model, batch_size=args.batch_size)
-    src = _open_in(args.input)
-    dst = _open_out(args.out)
+    src = dst = None
     try:
+        src = _open_in(args.input)
+        dst = _open_out(args.out)
         for dotted in dotter.dot_stream(src, keep_existing=args.keep_existing):
             dst.write(dotted)
         dst.flush()
     finally:
-        if src is not sys.stdin:
-            src.close()
-        if dst is not sys.stdout:
-            dst.close()
+        for stream in (src, dst):
+            if stream not in (None, sys.stdin, sys.stdout):
+                stream.close()
     return 0
 
 

@@ -11,22 +11,21 @@ The LSTM stack is time-major: each direction fills a (T, B, 4H) gate
 buffer, gates laid out i|f|g|o, and keeps its cell and hidden states as
 (T, B, H), so every step of the recurrence reads and writes one contiguous
 (B, ·) block.  The input projection ``u @ Wx + b`` fills the gate buffer for
-all time steps before the time loop.  Layer 0 reads embedding rows of only
-a few dozen letters, so it projects each distinct letter of the batch once
-and gathers that table into time order; the layers above take one
-whole-sequence GEMM.  Inference gathers layer 0 instead from tables of
-every vocabulary id, which :func:`layer0_tables` builds once per loaded
-model.  The time loop adds only ``h @ Wh`` and activates the
-gates in place, sigmoid written as ``0.5 * tanh(0.5 * x) + 0.5``.  The
-backward pass writes each step's gate gradient into the same buffer, keeps
-only ``dz @ Wh.T`` in the reverse loop, and computes the weight, bias and
-input gradients afterwards as whole-sequence GEMMs; at layer 0 it first
-sums the gate gradients per distinct letter with a one-hot GEMM and works
-in that letter space.  The projection and the heads run in document order,
-(B, T, ·), on one copy of the top features.  Nothing nonlinear sits between
-the projection and the heads, so the projection's gradients are taken
-through the heads' 16 logit columns instead of through the 2H-wide gradient
-of its output.
+all time steps before the time loop.  Layer 0's input is one of a small,
+closed set of vocabulary ids, so :func:`layer0_tables` computes its input
+term for every id once and layer 0 gathers from those tables into time
+order: a loaded model builds them once, training once per call.  The
+layers above take one whole-sequence GEMM.  The time loop adds only
+``h @ Wh`` and activates the gates in place, sigmoid written as
+``0.5 * tanh(0.5 * x) + 0.5``.  The backward pass writes each step's gate
+gradient into the same buffer, keeps only ``dz @ Wh.T`` in the reverse
+loop, and computes the weight, bias and input gradients afterwards as
+whole-sequence GEMMs; at layer 0 it first sums the gate gradients per
+vocabulary id with a one-hot GEMM and works in that vocabulary space.  The
+projection and the heads run in document order, (B, T, ·), on one copy of
+the top features.  Nothing nonlinear sits between the projection and the
+heads, so the projection's gradients are taken through the heads' 16 logit
+columns instead of through the 2H-wide gradient of its output.
 
 Everything is deterministic given the seeds: parameter init draws in a
 fixed order, and dropout masks are created outside the forward pass so the
@@ -215,8 +214,6 @@ class _DirCache:
 
 @dataclass
 class ForwardCache:
-    letters: np.ndarray  # (n,) the distinct ids of the batch, sorted
-    idx: np.ndarray  # (T, B) each position's row in ``letters``
     rev_idx: np.ndarray  # (T, B) the backward direction's time flip
     directions: list[dict[str, _DirCache]]  # per layer, in each one's time order
     inputs: list[np.ndarray]  # (T, B, 2H) input of each layer above 0, time order
@@ -257,8 +254,7 @@ def _run_direction(gates: np.ndarray, Wh: np.ndarray, keep_cells: bool) -> _DirC
 
 def layer0_tables(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Per direction, layer 0's input term ``embedding @ Wx + b`` of every
-    vocabulary id, (V, 4H): what :func:`forward` gathers from when the
-    weights stay fixed between calls (inference)."""
+    vocabulary id, (V, 4H): what :func:`forward` gathers layer 0 from."""
     tables = {}
     for direction in _DIRECTIONS:
         table = params["embedding"] @ params[f"lstm0_{direction}_Wx"]
@@ -283,10 +279,10 @@ def forward(
     direction keeps only a rolling cell state and drops its gate buffer as
     soon as its hidden states have been taken, which cuts peak memory to
     about a third.  The logits are the same either way, bit for bit.
-    ``layer0``, the :func:`layer0_tables` of ``params``, makes layer 0 a
-    gather from them instead of a product per batch; the tests pin the
-    logits bitwise equal to the per-batch path.  Raises NonFiniteActivation
-    if a state or a logit is not finite.
+    Layer 0 gathers from ``layer0``, the :func:`layer0_tables` of
+    ``params``; a caller whose weights stay fixed between calls (inference)
+    builds them once, and without them each call builds its own.  Raises
+    NonFiniteActivation if a state or a logit is not finite.
     """
     if ids.ndim != 2:
         raise ShapeMismatch(f"ids must be (batch, time), got shape {ids.shape}")
@@ -300,23 +296,11 @@ def forward(
     if dropout_masks is not None and len(dropout_masks) != config.num_layers:
         raise ShapeMismatch("need one dropout mask per layer")
 
-    emb = params["embedding"]
-    dtype = emb.dtype
+    dtype = params["embedding"].dtype
     rev = _reversal_index(np.asarray(lengths, dtype=np.int64), T)
     cols = np.arange(B)[None, :]
-    # the distinct ids, ascending, and each position's row among them;
-    # counting over the small vocabulary needs no sort, unlike np.unique
-    letters = np.flatnonzero(np.bincount(ids.reshape(-1), minlength=config.vocab_size))
-    rank = np.zeros(config.vocab_size, np.intp)
-    rank[letters] = np.arange(letters.size)
-    idx = rank[ids.T]
-    # numpy sends a one-row product to gemv, which rounds unlike the gemm of
-    # a longer batch or of the vocabulary tables: a one-position batch
-    # projects its letter itself, and a repeated letter keeps the table on gemm
-    if ids.size == 1:
-        layer0 = None
     if layer0 is None:
-        table_rows = emb[letters if letters.size > 1 or ids.size == 1 else letters.repeat(2)]
+        layer0 = layer0_tables(params)
 
     H = config.hidden_dim
     directions: list[dict[str, _DirCache]] = []
@@ -327,19 +311,12 @@ def forward(
         H_layer = np.empty((T, B, 2 * H), dtype)
         for di, direction in enumerate(_DIRECTIONS):
             prefix = f"lstm{layer}_{direction}"
-            Wx, b = params[f"{prefix}_Wx"], params[f"{prefix}_b"]
             if layer == 0:
-                if layer0 is not None:
-                    table, at = layer0[direction], ids.T
-                else:
-                    # one row per distinct letter, gathered into time order
-                    table, at = table_rows @ Wx, idx
-                    table += b
-                gates = table[at if direction == "fwd" else at[rev, cols]]
+                gates = layer0[direction][ids.T if direction == "fwd" else ids.T[rev, cols]]
             else:
                 x = dropped[-1] if direction == "fwd" else dropped[-1][rev, cols]
-                gates = (x.reshape(T * B, -1) @ Wx).reshape(T, B, -1)
-                gates += b
+                gates = (x.reshape(T * B, -1) @ params[f"{prefix}_Wx"]).reshape(T, B, -1)
+                gates += params[f"{prefix}_b"]
             cache = _run_direction(gates, params[f"{prefix}_Wh"], keep_cache)
             del gates
             H_layer[:, :, di * H : (di + 1) * H] = (
@@ -369,8 +346,6 @@ def forward(
     if not keep_cache:
         return logits, None
     cache = ForwardCache(
-        letters=letters,
-        idx=idx,
         rev_idx=rev,
         directions=directions,
         inputs=dropped[:-1],
@@ -416,6 +391,33 @@ def _nll_and_softmax(
     return nll, exp / denom
 
 
+def _head_nll(
+    logits: dict[str, np.ndarray],
+    golds: dict[str, np.ndarray],
+    masks: dict[str, np.ndarray],
+) -> tuple[float, int, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The masked loss, the number of live decisions, and per head with any
+    live decision its loss mask, live golds and live softmax rows."""
+    targets = effective_targets(golds, masks)
+    total = np.float64(0.0)
+    count = 0
+    live = {}
+    for k in CATEGORIES:
+        g, m = targets[k]
+        if not m.any():
+            continue
+        nll, soft = _nll_and_softmax(logits[k][m], g[m])
+        total += nll
+        count += int(m.sum())
+        live[k] = (m, g[m], soft)
+    if count == 0:
+        return 0.0, 0, live
+    loss = float(total / count)
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"loss is {loss}")
+    return loss, count, live
+
+
 def masked_loss(
     logits: dict[str, np.ndarray],
     golds: dict[str, np.ndarray],
@@ -428,22 +430,7 @@ def masked_loss(
     Masked positions are never gathered, so their logit values cannot move
     the result even by rounding.
     """
-    targets = effective_targets(golds, masks)
-    total = np.float64(0.0)
-    count = 0
-    for k in CATEGORIES:
-        g, m = targets[k]
-        if not m.any():
-            continue
-        nll, _ = _nll_and_softmax(logits[k][m], g[m])
-        total += nll
-        count += int(m.sum())
-    if count == 0:
-        return 0.0
-    loss = float(total / count)
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(f"loss is {loss}")
-    return loss
+    return _head_nll(logits, golds, masks)[0]
 
 
 def compute_loss(
@@ -479,8 +466,7 @@ def loss_and_grads(
     into the loss, so no rounding residue from them can reach a gradient.
     """
     logits, cache = forward(params, config, ids, lengths, dropout_masks)
-    targets = effective_targets(golds, masks)
-    count = sum(int(m.sum()) for _, m in targets.values())
+    loss, count, live = _head_nll(logits, golds, masks)
     grads = _zeros_like_params(params)
     if count == 0:
         return 0.0, grads
@@ -488,30 +474,21 @@ def loss_and_grads(
     dtype = cache.feats.dtype
     B, T = ids.shape
     H2 = 2 * config.hidden_dim
-    total = np.float64(0.0)
     # logit gradients of all heads side by side, one column block per head
     dL = np.zeros((B * T, sum(HEAD_SIZES.values())), dtype)
-    cols = {}
-    start = 0
+    head_cols, start = {}, 0
     for k in CATEGORIES:
-        cols[k] = slice(start, start + HEAD_SIZES[k])
+        head_cols[k] = slice(start, start + HEAD_SIZES[k])
         start += HEAD_SIZES[k]
-        g, m = targets[k]
-        if not m.any():
-            continue
-        nll, soft = _nll_and_softmax(logits[k][m], g[m])
-        total += nll
-        soft[np.arange(soft.shape[0]), g[m]] -= 1.0
-        dL[m.reshape(-1), cols[k]] = soft / count
-    loss = float(total / count)
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(f"loss is {loss}")
+    for k, (m, g, soft) in live.items():
+        soft[np.arange(g.size), g] -= 1.0
+        dL[m.reshape(-1), head_cols[k]] = soft / count
 
     gW_heads = cache.proj.reshape(B * T, H2).T @ dL
     gb_heads = dL.sum(axis=0)
     for k in CATEGORIES:
-        grads[f"head_{k}_W"] += gW_heads[:, cols[k]]
-        grads[f"head_{k}_b"] += gb_heads[cols[k]]
+        grads[f"head_{k}_W"] += gW_heads[:, head_cols[k]]
+        grads[f"head_{k}_b"] += gb_heads[head_cols[k]]
     # nothing nonlinear sits between projection and heads, so the
     # projection's gradients go through the heads' few columns instead of
     # the 2H-wide gradient of its output
@@ -529,8 +506,6 @@ def loss_and_grads(
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     cols = np.arange(B)[None, :]
     rev = cache.rev_idx
-    emb_rows = params["embedding"][cache.letters]
-    d_emb_rows = np.zeros_like(emb_rows)
     H = config.hidden_dim
     for layer in range(config.num_layers - 1, -1, -1):
         dD = d_dropped[layer]
@@ -551,13 +526,13 @@ def loss_and_grads(
                 grads[f"{prefix}_b"],
             )
             if layer == 0:
-                # sum dZ per distinct letter, then work in letter space
-                idx = cache.idx if direction == "fwd" else cache.idx[rev, cols]
-                onehot = np.zeros((emb_rows.shape[0], T * B), dtype)
-                onehot[idx.reshape(-1), np.arange(T * B)] = 1.0
+                # sum dZ per vocabulary id, then work in vocabulary space
+                at = ids.T if direction == "fwd" else ids.T[rev, cols]
+                onehot = np.zeros((config.vocab_size, T * B), dtype)
+                onehot[at.reshape(-1), np.arange(T * B)] = 1.0
                 S = onehot @ dZ
-                grads[f"{prefix}_Wx"] += emb_rows.T @ S
-                d_emb_rows += S @ Wx.T
+                grads[f"{prefix}_Wx"] += params["embedding"].T @ S
+                grads["embedding"] += S @ Wx.T
             else:
                 u_doc = cache.inputs[layer - 1]
                 u = u_doc if direction == "fwd" else u_doc[rev, cols]
@@ -567,7 +542,6 @@ def loss_and_grads(
                 dU_total = dU_doc if dU_total is None else dU_total + dU_doc
         if layer > 0:
             d_dropped[layer - 1] += dU_total
-    grads["embedding"][cache.letters] += d_emb_rows
     return loss, grads
 
 

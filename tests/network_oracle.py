@@ -4,8 +4,8 @@ It computes the model the plain way: every position's embedding row times
 each layer-0 input matrix (``emb[ids] @ Wx + b``), a textbook LSTM step
 loop per row and direction, and the projection applied before the heads
 (``(feats @ proj_W + proj_b) @ head_W + head_b``).  It shares no code with
-the package; ``forward`` instead projects each distinct letter once, so the
-two agree to rounding.
+the package; ``forward`` instead gathers layer 0 from tables of every
+vocabulary id, so the two agree to rounding.
 """
 
 from __future__ import annotations

@@ -193,6 +193,47 @@ class TestDot:
         dotter = Dotter.load(random_checkpoint)
         assert stdout == "".join(dotter.dot(line) for line in lines)
 
+    CRLF = "שָלוֹם עולם\r\nשורה שניה, 2\r\n".encode("utf-8")
+
+    @staticmethod
+    def unmarked(data: bytes) -> bytes:
+        text = data.decode("utf-8")
+        return "".join(c for c in text if not "\u0591" <= c <= "\u05c7").encode("utf-8")
+
+    def test_crlf_file_keeps_line_ends(self, capsys, random_checkpoint, tmp_path):
+        src = tmp_path / "in.txt"
+        dst = tmp_path / "out.txt"
+        src.write_bytes(self.CRLF)
+        code, _, err = run(
+            capsys, "dot", "--model", str(random_checkpoint), str(src), "--out", str(dst)
+        )
+        assert code == 0, err
+        assert self.unmarked(dst.read_bytes()) == self.unmarked(self.CRLF)
+
+    def test_crlf_stdin_keeps_line_ends(self, capsys, monkeypatch, random_checkpoint):
+        stdin = io.TextIOWrapper(io.BytesIO(self.CRLF), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, stdout, err = run(capsys, "dot", "--model", str(random_checkpoint))
+        assert code == 0, err
+        assert self.unmarked(stdout.encode("utf-8")) == self.unmarked(self.CRLF)
+
+    def test_unwritable_out_closes_input(self, capsys, monkeypatch, random_checkpoint, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("שלום\n", encoding="utf-8")
+        opened = []
+
+        def tracked_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("hebdot.cli.open", tracked_open, raising=False)
+        missing_dir = tmp_path / "no" / "out.txt"
+        code, _, err = run(
+            capsys, "dot", "--model", str(random_checkpoint), str(src), "--out", str(missing_dir)
+        )
+        assert code == 3 and "error:" in err
+        assert len(opened) == 1 and opened[0].closed
+
     def test_missing_model(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "dot", "--model", str(tmp_path / "no.nkdm"), str(tmp_path / "x")

@@ -220,6 +220,19 @@ class TestForward:
             for name in cached:
                 assert np.array_equal(cached[name], bare[name])
 
+    def test_gathers_layer0_from_given_tables(self):
+        # inference builds the tables once per model and passes them in;
+        # they must be what each call would build, and what layer 0 reads
+        config = tiny_config()
+        params = init_params(config, seed=3)
+        ids, lengths, _, _ = make_synthetic_batch(config, batch=3, width=6, seed=4)
+        want, _ = forward(params, config, ids, lengths, keep_cache=False)
+        tables = layer0_tables(params)
+        params["embedding"][:] = np.nan  # layer 0's input lives in the tables alone
+        got, _ = forward(params, config, ids, lengths, keep_cache=False, layer0=tables)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
     def test_rejects_out_of_range_ids(self):
         config = tiny_config()
         params = init_params(config, seed=0)
@@ -254,51 +267,6 @@ class TestForward:
             forward(params, config, ids, lengths, keep_cache=False)
 
 
-class TestLayer0Tables:
-    """Logits with the whole-vocabulary layer-0 tables equal those of the
-    per-batch letter tables bit for bit: at batch 1 (a one-letter line, which
-    keeps the per-batch path, and a line of one repeated letter among them)
-    at hidden 16 and at the paper's size, and in 16-row batches at hidden
-    16."""
-
-    LINES = ["שלום עולם, מה שלומך היום? הכל בסדר.", "ההה", "א", "בא", "ש׳ #@"]
-
-    @staticmethod
-    def make_model(dim):
-        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim)
-        params = init_params(config, seed=12)
-        return params, config, layer0_tables(params)
-
-    @pytest.fixture(scope="class", params=[16, 400], ids=["hidden16", "paper"])
-    def model(self, request):
-        return self.make_model(request.param)
-
-    @staticmethod
-    def assert_same_logits(params, config, tables, ids, lengths):
-        want, _ = forward(params, config, ids, lengths, keep_cache=False)
-        got, _ = forward(params, config, ids, lengths, keep_cache=False, layer0=tables)
-        for k in want:
-            assert got[k].tobytes() == want[k].tobytes(), k
-
-    @pytest.mark.parametrize("line", LINES)
-    def test_batch_one_bitwise(self, model, line):
-        ids = Vocabulary().encode(line)[None, :]
-        self.assert_same_logits(*model, ids, np.array([ids.shape[1]]))
-
-    def test_sixteen_row_batches_bitwise(self, bundled_corpus_root):
-        vocab = Vocabulary()
-        chunks = [
-            c
-            for split in SPLITS
-            for d in load_corpus(bundled_corpus_root, split)
-            for c in encode_document(d, vocab)
-        ]
-        chunks.sort(key=lambda c: c.length)
-        model = self.make_model(16)
-        for batch in make_batches(chunks, 16):
-            self.assert_same_logits(*model, batch.letter_ids, batch.lengths)
-
-
 class TestNearPaperSize:
     def test_batching_moves_logits_only_by_rounding(self):
         # At hidden 128 a row's logits depend, in the last bits, on the batch
@@ -316,23 +284,26 @@ class TestNearPaperSize:
 
 
 class TestAgainstReference:
-    """``forward`` projects each distinct letter once at layer 0; the
+    """``forward`` gathers layer 0 from tables of every vocabulary id; the
     reference multiplies every position's embedding row and writes the
     sigmoid its own way.  They agree to float32 rounding, far below any
-    label decision; bitwise equality would depend on the BLAS build."""
+    label decision; bitwise equality would depend on the BLAS build.  Single
+    lines cover a one-letter batch, one repeated letter, a geresh and
+    characters outside the alphabet; 16-row batches cover every bundled
+    chunk."""
 
-    @pytest.mark.parametrize(
-        "dim, batch, residual",
-        [(16, 16, False), (16, 16, True), (128, 16, False), (400, 4, False)],
-        ids=["hidden16", "hidden16-residual", "hidden128", "paper"],
-    )
-    def test_logits_match_reference(self, dim, batch, residual):
+    LINES = ["שלום עולם, מה שלומך היום? הכל בסדר.", "ההה", "א", "בא", "ש׳ #@"]
+    LINE_IDS = ["sentence", "repeated", "one-letter", "two-letters", "geresh-symbols"]
+
+    @staticmethod
+    def make_model(dim, seed, residual=False):
         config = ModelConfig(
             vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim, residual=residual
         )
-        params = init_params(config, seed=21)
-        ids, lengths, _, _ = make_synthetic_batch(config, batch=batch, width=24, seed=22)
-        ids[-1, : lengths[-1]] = 7  # a row of one repeated letter
+        return init_params(config, seed=seed), config
+
+    @staticmethod
+    def assert_matches_reference(params, config, ids, lengths):
         got, _ = forward(params, config, ids, lengths, keep_cache=False)
         want = reference_forward(params, config, ids, lengths)
         tol = 100 * np.finfo(np.float32).eps
@@ -341,6 +312,36 @@ class TestAgainstReference:
                 a, b = got[name][r, :n], want[name][r, :n]
                 assert np.allclose(a, b, rtol=0, atol=tol), (name, r, np.abs(a - b).max())
                 assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
+
+    @pytest.mark.parametrize(
+        "dim, batch, residual",
+        [(16, 16, False), (16, 16, True), (128, 16, False), (400, 4, False)],
+        ids=["hidden16", "hidden16-residual", "hidden128", "paper"],
+    )
+    def test_logits_match_reference(self, dim, batch, residual):
+        params, config = self.make_model(dim, 21, residual)
+        ids, lengths, _, _ = make_synthetic_batch(config, batch=batch, width=24, seed=22)
+        ids[-1, : lengths[-1]] = 7  # a row of one repeated letter
+        self.assert_matches_reference(params, config, ids, lengths)
+
+    @pytest.mark.parametrize("line", LINES, ids=LINE_IDS)
+    @pytest.mark.parametrize("dim", [16, 400], ids=["hidden16", "paper"])
+    def test_line_matches_reference(self, dim, line):
+        ids = Vocabulary().encode(line)[None, :]
+        self.assert_matches_reference(*self.make_model(dim, 12), ids, np.array([ids.shape[1]]))
+
+    def test_sixteen_row_batches_match_reference(self, bundled_corpus_root):
+        vocab = Vocabulary()
+        chunks = [
+            c
+            for split in SPLITS
+            for d in load_corpus(bundled_corpus_root, split)
+            for c in encode_document(d, vocab)
+        ]
+        chunks.sort(key=lambda c: c.length)
+        params, config = self.make_model(16, 12)
+        for batch in make_batches(chunks, 16):
+            self.assert_matches_reference(params, config, batch.letter_ids, batch.lengths)
 
 
 class TestLoss:
@@ -407,9 +408,9 @@ class TestLoss:
         params = init_params(config, seed=2)
         ids, lengths, golds, masks = make_synthetic_batch(config, batch=3, width=6, seed=3)
         logits, _ = forward(params, config, ids, lengths)
-        assert compute_loss(params, config, ids, lengths, golds, masks) == masked_loss(
-            logits, golds, masks
-        )
+        want = masked_loss(logits, golds, masks)
+        assert compute_loss(params, config, ids, lengths, golds, masks) == want
+        assert loss_and_grads(params, config, ids, lengths, golds, masks)[0] == want
 
 
 class TestGradients:
@@ -457,11 +458,12 @@ class TestGradients:
 
 
 class TestLetterSpaceGradients:
-    """Layer 0 sums its gate gradients per distinct letter before the
-    embedding and input-weight gradients.  Letter 5 occurs once, off the
-    middle of its row, so the backward direction meets it at another time
-    step than the forward one; id 0 pads the second row; ids 1, 4, 6 and
-    7 never occur."""
+    """Layer 0 sums its gate gradients per vocabulary id, with a one-hot
+    over the whole vocabulary, before the embedding and input-weight
+    gradients; ids that no live position holds must get exactly zero
+    embedding gradient.  Letter 5 occurs once, off the middle of its row, so
+    the backward direction meets it at another time step than the forward
+    one; id 0 pads the second row; ids 1, 4, 6 and 7 never occur."""
 
     IDS = np.array([[2, 3, 2, 5, 3, 2], [3, 2, 3, 0, 0, 0]], dtype=np.int32)
     LENGTHS = np.array([6, 3], dtype=np.int32)
