@@ -299,7 +299,8 @@ class TestBadModels:
         assert err.startswith("error:")
 
 
-# config lines: known keys (and a few unknown ones) with values of any type
+# config lines: known keys (and a few unknown ones) with values of any type; text values
+# hold only characters a UTF-8 file can store (no lone surrogates)
 config_lines = st.lists(
     st.tuples(
         st.sampled_from(sorted(_FIELD_TYPES) + ["learning_rate", "vocab_size"]),
@@ -307,7 +308,7 @@ config_lines = st.lists(
             st.integers(-5, 500).map(str),
             st.floats(allow_nan=True).map(repr),
             st.sampled_from(["true", "False", "banana", "triangular2", "exp_range"]),
-            st.text(st.characters(exclude_characters="#\n\r"), max_size=8),
+            st.text(st.characters(codec="utf-8", exclude_characters="#\n\r"), max_size=8),
         ),
     ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     max_size=6,
