@@ -1,10 +1,15 @@
 """Command line front end.
 
 Subcommands: ``train``, ``dot``, ``eval``, ``stats`` and ``gradcheck``.
-Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 a
-check failed, 2 usage error (argparse), 3 data problems (a config value of
-the wrong type among them), 4 unreadable or incompatible checkpoints, and
-models whose states or logits go non-finite in ``dot`` or ``eval``.
+``train`` has one flag per field of :class:`TrainPlan` and
+:class:`ModelConfig` (``vocab_size`` aside), and its config file takes the
+same names; both dataclasses check their own values.  Data goes to stdout,
+diagnostics to stderr.  Exit codes: 0 success, 1 a check failed, 2 usage
+error (argparse), 3 data problems (a config value of the wrong type or a bad
+plan among them), 4 unreadable or incompatible checkpoints (a header value
+of the wrong type, or decision letters other than this build's, among
+them), and models whose states or logits go non-finite in ``dot`` or
+``eval``.
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ import dataclasses
 import io
 import logging
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import SPLITS, EmptyCorpus, load_corpus, load_dir, split_stats
+from .corpus import SPLITS, EmptyCorpus, Vocabulary, load_corpus, load_dir, split_stats
 from .dotter import INFERENCE_BATCH_SIZE, Dotter
 from .metrics import LetterStreamMismatch, evaluate, render_report
 from .network import (
@@ -27,6 +31,8 @@ from .network import (
     ModelConfig,
     NonFiniteActivation,
     VersionMismatch,
+    check_setting,
+    field_types,
     gradient_check,
     make_dropout_masks,
     make_synthetic_batch,
@@ -35,12 +41,13 @@ from .trainer import TrainPlan, parse_config_file, train
 
 log = logging.getLogger(__name__)
 
-_PLAN_KEYS = {f.name for f in dataclasses.fields(TrainPlan)}
-_MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"vocab_size"}
-_FIELD_TYPES = {**typing.get_type_hints(TrainPlan), **typing.get_type_hints(ModelConfig)}
-# the parsed value types each field type accepts; bool is an int subtype and
-# is told apart separately
-_ACCEPTED = {int: int, float: (int, float), bool: bool, str: str}
+# each train setting, in declaration order, and the dataclass that holds it
+_SETTINGS = {
+    name: cls
+    for cls in (TrainPlan, ModelConfig)
+    for name in field_types(cls)
+    if name != "vocab_size"
+}
 
 
 def _open_in(target: str):
@@ -61,39 +68,30 @@ def _open_out(target: str):
 
 
 def _merge_settings(args: argparse.Namespace) -> tuple[ModelConfig | None, TrainPlan]:
-    """Defaults, overwritten by the config file, overwritten by flags."""
-    from_file: dict[str, object] = {}
+    """Defaults, overwritten by the config file, overwritten by flags.  A
+    file value is checked by its dataclass's rule even when a flag wins."""
+    kwargs: dict[type, dict[str, object]] = {TrainPlan: {}, ModelConfig: {}}
     if args.config:
         from_file = parse_config_file(args.config)
-        unknown = set(from_file) - _PLAN_KEYS - _MODEL_KEYS
+        unknown = from_file.keys() - _SETTINGS.keys()
         if unknown:
             raise ValueError(
                 f"unknown config key(s): {', '.join(sorted(unknown))}"
             )
         for key, value in from_file.items():
-            want = _FIELD_TYPES[key]
-            if isinstance(value, bool) != (want is bool) or not isinstance(
-                value, _ACCEPTED[want]
-            ):
-                raise ValueError(
-                    f"{args.config}: {key} must be {want.__name__}, got {value!r}"
-                )
+            try:
+                check_setting(_SETTINGS[key], key, value)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
+            kwargs[_SETTINGS[key]][key] = value
+    for key, cls in _SETTINGS.items():
+        if (flag := getattr(args, key)) is not None:
+            kwargs[cls][key] = flag
 
-    def collect(keys: set[str]) -> dict[str, object]:
-        merged = {k: v for k, v in from_file.items() if k in keys}
-        for k in keys:
-            flag = getattr(args, k, None)
-            if flag is not None:
-                merged[k] = flag
-        return merged
-
-    plan = TrainPlan(**collect(_PLAN_KEYS))
-    model_kwargs = collect(_MODEL_KEYS)
+    plan = TrainPlan(**kwargs[TrainPlan])
     config = None
-    if model_kwargs:
-        from .corpus import Vocabulary
-
-        config = ModelConfig(vocab_size=Vocabulary().size, **model_kwargs)
+    if kwargs[ModelConfig]:
+        config = ModelConfig(vocab_size=Vocabulary().size, **kwargs[ModelConfig])
     return config, plan
 
 
@@ -215,26 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--corpus", required=True, help="corpus root directory")
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     p_train.add_argument("--config", help="key = value settings file")
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--premodern-epochs", dest="premodern_epochs", type=int, default=None)
-    p_train.add_argument("--modern-epochs", dest="modern_epochs", type=int, default=None)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p_train.add_argument("--base-lr", dest="base_lr", type=float, default=None)
-    p_train.add_argument("--max-lr", dest="max_lr", type=float, default=None)
-    p_train.add_argument("--lr-policy", dest="lr_policy", default=None)
-    p_train.add_argument("--lr-gamma", dest="lr_gamma", type=float, default=None)
-    p_train.add_argument("--beta1", type=float, default=None)
-    p_train.add_argument("--beta2", type=float, default=None)
-    p_train.add_argument("--eps", type=float, default=None)
-    p_train.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
-    p_train.add_argument("--log-every", dest="log_every", type=int, default=None)
-    p_train.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    p_train.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p_train.add_argument("--num-layers", dest="num_layers", type=int, default=None)
-    p_train.add_argument("--dropout", dest="dropout", type=float, default=None)
-    p_train.add_argument(
-        "--residual", dest="residual", action="store_const", const=True, default=None
-    )
+    for name, cls in _SETTINGS.items():
+        flag = "--" + name.replace("_", "-")
+        kind = field_types(cls)[name]
+        if kind is bool:
+            p_train.add_argument(flag, action="store_const", const=True)
+        else:
+            p_train.add_argument(flag, type=kind)
     p_train.set_defaults(func=_cmd_train)
 
     p_dot = sub.add_parser("dot", help="add diacritics to plain text")

@@ -206,8 +206,9 @@ def chunk_spans(letters: str, max_len: int = MAX_CHUNK_LEN) -> list[tuple[int, i
 class Vocabulary:
     """Fixed, closed character inventory for the encoder.
 
-    Index 0 is padding and index 1 the out-of-alphabet fallback; the rest is
-    the normalized alphabet in a deterministic order.  The inventory never
+    Index 0 is padding and index 1 the out-of-alphabet fallback; letter i of
+    ``alphabet``, the normalized alphabet in a deterministic order, has id
+    i + 2, read through a table indexed by code point.  The inventory never
     depends on the training data, so checkpoints built anywhere agree.
     """
 
@@ -216,38 +217,29 @@ class Vocabulary:
 
     def __init__(self) -> None:
         self._index(
-            [" "]
-            + list(PUNCT_WHITELIST)
-            + [DIGIT_SYMBOL, LATIN_SYMBOL]
-            + list(HEBREW_LETTERS)
+            " " + "".join(PUNCT_WHITELIST) + DIGIT_SYMBOL + LATIN_SYMBOL + HEBREW_LETTERS
         )
 
-    def _index(self, alphabet: list[str]) -> None:
-        self.id_to_char: list[str | None] = [None, None] + alphabet
-        self.char_to_id: dict[str, int] = {
-            ch: i + 2 for i, ch in enumerate(alphabet)
-        }
-        if len(self.char_to_id) != len(alphabet):
+    def _index(self, alphabet: str) -> None:
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("duplicate characters in vocabulary")
-        self._ids = _id_table("".join(alphabet))
+        self.alphabet = alphabet
+        self._ids = _id_table(alphabet)
 
     @property
     def size(self) -> int:
-        return len(self.id_to_char)
-
-    def id(self, ch: str) -> int:
-        return self.char_to_id.get(ch, self.UNK)
+        return len(self.alphabet) + 2
 
     def encode(self, letters: str) -> np.ndarray:
         return self._ids.take(_code_points(letters), mode="clip")
 
     def to_json(self) -> dict:
-        return {"alphabet": "".join(self.id_to_char[2:])}
+        return {"alphabet": self.alphabet}
 
     @classmethod
     def from_json(cls, data: dict) -> "Vocabulary":
         vocab = cls.__new__(cls)
-        vocab._index(list(data["alphabet"]))
+        vocab._index(data["alphabet"])
         return vocab
 
 
@@ -305,32 +297,25 @@ def letter_mask(letters: str, chars: Iterable[str]) -> np.ndarray:
     return _char_table(frozenset(chars)).take(_code_points(letters), mode="clip")
 
 
-def decision_masks(
-    letters: str,
-    dagesh_capable: frozenset[str] = DAGESH_CAPABLE,
-    niqqud_capable: frozenset[str] = NIQQUD_CAPABLE,
-) -> dict[str, np.ndarray]:
+def decision_masks(letters: str) -> dict[str, np.ndarray]:
     """Per category, a bool array that is True exactly where the letter
-    admits that decision: niqqud on niqqud-capable letters, dagesh on
-    dagesh-capable ones, the shin/sin dot on shin alone."""
+    admits that decision: niqqud on the codec's ``NIQQUD_CAPABLE`` letters,
+    dagesh on its ``DAGESH_CAPABLE`` ones, the shin/sin dot on shin alone."""
     return {
-        "niqqud": letter_mask(letters, niqqud_capable),
-        "dagesh": letter_mask(letters, dagesh_capable),
+        "niqqud": letter_mask(letters, NIQQUD_CAPABLE),
+        "dagesh": letter_mask(letters, DAGESH_CAPABLE),
         "sin": letter_mask(letters, SHIN),
     }
 
 
 def encode_document(
-    doc: Document,
-    vocab: Vocabulary,
-    max_len: int = MAX_CHUNK_LEN,
-    dagesh_capable: frozenset[str] = DAGESH_CAPABLE,
-    niqqud_capable: frozenset[str] = NIQQUD_CAPABLE,
+    doc: Document, vocab: Vocabulary, max_len: int = MAX_CHUNK_LEN
 ) -> list[Chunk]:
-    """Chunk and encode one document into model inputs and training targets."""
+    """Chunk and encode one document into model inputs and training targets;
+    the masks are :func:`decision_masks` of its letters."""
     letters = doc.letters
     ids = vocab.encode(letters)
-    masks = decision_masks(letters, dagesh_capable, niqqud_capable)
+    masks = decision_masks(letters)
 
     chunks = []
     for start, end in chunk_spans(letters, max_len):
@@ -365,7 +350,6 @@ class Batch:
     masks: dict[str, np.ndarray]  # category -> (B, T) bool
     lengths: np.ndarray  # (B,) int32
     doc_ids: tuple[str, ...]
-    offsets: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -391,7 +375,6 @@ def _stack(chunks: Sequence[Chunk]) -> Batch:
         masks=masks,
         lengths=lengths,
         doc_ids=tuple(c.doc_id for c in chunks),
-        offsets=tuple(c.offset for c in chunks),
     )
 
 

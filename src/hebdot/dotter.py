@@ -19,7 +19,6 @@ import numpy as np
 from .codec import _HEBREW_SET, insert_marks, parse, strip_diacritics
 from .corpus import (
     CATEGORIES,
-    MAX_CHUNK_LEN,
     Batch,
     Chunk,
     Document,
@@ -72,8 +71,6 @@ class Dotter:
         self.layer0 = layer0_tables(checkpoint.params)
         self.config: ModelConfig = checkpoint.config
         self.vocab: Vocabulary = checkpoint.vocab
-        self.dagesh_capable = checkpoint.dagesh_capable
-        self.niqqud_capable = checkpoint.niqqud_capable
         self.batch_size = batch_size
 
     @classmethod
@@ -92,14 +89,7 @@ class Dotter:
         """
         rows: list[tuple[int, Chunk]] = []  # (document index, chunk)
         for i, doc in enumerate(docs):
-            chunks = encode_document(
-                doc,
-                self.vocab,
-                max_len=MAX_CHUNK_LEN,
-                dagesh_capable=self.dagesh_capable,
-                niqqud_capable=self.niqqud_capable,
-            )
-            rows += [(i, chunk) for chunk in chunks]
+            rows += [(i, chunk) for chunk in encode_document(doc, self.vocab)]
         rows.sort(key=lambda row: row[1].length)  # stable: ties keep input order
         labels = [
             {k: np.zeros(len(doc.letters), dtype=np.int8) for k in CATEGORIES}

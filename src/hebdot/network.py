@@ -38,8 +38,9 @@ import dataclasses
 import json
 import os
 import struct
+import typing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -58,6 +59,8 @@ __all__ = [
     "CorruptCheckpoint",
     "VersionMismatch",
     "Checkpoint",
+    "field_types",
+    "check_setting",
     "param_shapes",
     "init_params",
     "make_dropout_masks",
@@ -104,6 +107,25 @@ class VersionMismatch(ValueError):
     """Checkpoint was written by an incompatible format version."""
 
 
+@cache
+def field_types(cls: type) -> Mapping[str, type]:
+    """A settings dataclass's field names and types, in declaration order;
+    read-only and cached, since resolving the hints costs a third of a small
+    checkpoint's load."""
+    return MappingProxyType(typing.get_type_hints(cls))
+
+
+def check_setting(cls: type, name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` fits field ``name`` of ``cls``: int
+    fields take ints but not bools, float fields ints or floats, bool and
+    str fields only their own type."""
+    want = field_types(cls)[name]
+    if isinstance(value, bool) != (want is bool) or not isinstance(
+        value, (int, float) if want is float else want
+    ):
+        raise ValueError(f"{name} must be {want.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -114,6 +136,8 @@ class ModelConfig:
     residual: bool = False
 
     def __post_init__(self) -> None:
+        for name in field_types(ModelConfig):
+            check_setting(ModelConfig, name, getattr(self, name))
         if self.vocab_size < 2:
             raise ValueError("vocab_size must cover padding and fallback ids")
         if self.embed_dim < 1 or self.hidden_dim < 1 or self.num_layers < 1:
@@ -713,6 +737,11 @@ def make_synthetic_batch(
 
 CHECKPOINT_MAGIC = b"NKDM"
 CHECKPOINT_VERSION = 1
+# the letters that take each decision, as every header records them
+_DECISION_LETTERS = {
+    "dagesh_capable": "".join(sorted(DAGESH_CAPABLE)),
+    "niqqud_capable": "".join(sorted(NIQQUD_CAPABLE)),
+}
 
 
 @dataclass(frozen=True)
@@ -720,8 +749,6 @@ class Checkpoint:
     params: dict[str, np.ndarray]
     config: ModelConfig
     vocab: Vocabulary
-    dagesh_capable: frozenset[str]
-    niqqud_capable: frozenset[str]
     meta: dict
 
 
@@ -730,25 +757,23 @@ def save_checkpoint(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     vocab: Vocabulary,
-    dagesh_capable: frozenset[str] = DAGESH_CAPABLE,
-    niqqud_capable: frozenset[str] = NIQQUD_CAPABLE,
     meta: dict | None = None,
 ) -> None:
     """Write a self-describing binary checkpoint.
 
     Layout: magic, u32 version, length-prefixed JSON header (config,
-    vocabulary, capability sets, free-form metadata), then each array as a
-    length-prefixed name, u32 rank, u32 dims and row-major float32 bytes.
-    All integers little-endian.  Arrays are written in sorted name order so
-    equal models produce identical bytes.  They are written straight to
+    vocabulary, the codec's decision letters, free-form metadata), then each
+    array as a length-prefixed name, u32 rank, u32 dims and row-major float32
+    bytes.  All integers little-endian.  The decision letters are recorded
+    for :func:`load_checkpoint` to check against the codec's.  Arrays are
+    written in sorted name order so equal models produce identical bytes.  They are written straight to
     ``<path>.tmp``, synced to disk, and then replace ``path`` whole, so a
     crash mid-write leaves the previous checkpoint intact.
     """
     header = {
         "config": dataclasses.asdict(config),
         "vocab": vocab.to_json(),
-        "dagesh_capable": "".join(sorted(dagesh_capable)),
-        "niqqud_capable": "".join(sorted(niqqud_capable)),
+        **_DECISION_LETTERS,
         "meta": meta or {},
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
@@ -783,7 +808,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises VersionMismatch for a future format version and CorruptCheckpoint
-    for anything that does not parse cleanly, or for arrays whose names and
+    for anything that does not parse cleanly: a config value of the wrong
+    type, decision letters other than the codec's, or arrays whose names and
     shapes differ from :func:`param_shapes` of the stored config.
     """
     data = Path(path).read_bytes()
@@ -814,8 +840,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         vocab = Vocabulary.from_json(header["vocab"])
         if vocab.size != config.vocab_size:
             raise CorruptCheckpoint(f"{path}: vocabulary size != config.vocab_size")
-        dagesh_capable = frozenset(header["dagesh_capable"])
-        niqqud_capable = frozenset(header["niqqud_capable"])
+        if any(header[k] != v for k, v in _DECISION_LETTERS.items()):
+            raise CorruptCheckpoint(f"{path}: decision letters differ from this build's")
         # names and shapes only: a pass over the elements would cost more
         # than the load; non-finite weights surface as NonFiniteActivation
         expected = param_shapes(config)
@@ -846,7 +872,5 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         params=params,
         config=config,
         vocab=vocab,
-        dagesh_capable=dagesh_capable,
-        niqqud_capable=niqqud_capable,
         meta=header.get("meta", {}),
     )

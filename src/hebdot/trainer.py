@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import DAGESH_CAPABLE, NIQQUD_CAPABLE
 from .corpus import (
     Batch,
     Chunk,
@@ -35,6 +34,8 @@ from .network import (
     ModelConfig,
     NonFiniteActivation,
     NonFiniteLoss,
+    check_setting,
+    field_types,
     forward,
     init_params,
     loss_and_grads,
@@ -159,6 +160,8 @@ class TrainPlan:
     log_every: int = 50
 
     def __post_init__(self) -> None:
+        for name in field_types(TrainPlan):
+            check_setting(TrainPlan, name, getattr(self, name))
         if self.premodern_epochs < 0 or self.modern_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
         if self.batch_size < 1:
@@ -167,6 +170,10 @@ class TrainPlan:
             raise ValueError("log_every must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
+        try:  # the schedule's own rule, checked before train opens any file
+            LRSchedule(self.base_lr, self.max_lr, policy=self.lr_policy, gamma=self.lr_gamma)
+        except ValueError as exc:
+            raise ValueError(f"base_lr, max_lr, lr_policy, lr_gamma: {exc}") from None
 
 
 class StepLog(NamedTuple):
@@ -368,14 +375,7 @@ def validation_wor(
 ) -> float:
     """Macro word accuracy of the current parameters over held-out docs."""
     dotter = Dotter(
-        Checkpoint(
-            params=params,
-            config=config,
-            vocab=vocab,
-            dagesh_capable=DAGESH_CAPABLE,
-            niqqud_capable=NIQQUD_CAPABLE,
-            meta={},
-        ),
+        Checkpoint(params=params, config=config, vocab=vocab, meta={}),
         batch_size=batch_size,
     )
     return evaluate(docs, dotter.label_documents(docs)).macro["wor"]

@@ -32,7 +32,7 @@ def letter_mask(letters: str, chars: Iterable[str]) -> np.ndarray:
 
 
 def encode(vocab: Vocabulary, letters: str) -> np.ndarray:
-    char_to_id = {ch: i for i, ch in enumerate(vocab.id_to_char) if ch is not None}
+    char_to_id = {ch: i + 2 for i, ch in enumerate(vocab.alphabet)}
     return np.fromiter(
         (char_to_id.get(ch, vocab.UNK) for ch in letters),
         dtype=np.int32,

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hebdot.cli import _FIELD_TYPES, _merge_settings, build_parser, main
+from hebdot.cli import _merge_settings, build_parser, main
 from hebdot.dotter import Dotter
-from hebdot.network import ModelConfig, load_checkpoint, save_checkpoint
+from hebdot.network import ModelConfig, field_types, load_checkpoint, save_checkpoint
 from hebdot.trainer import TrainPlan
+
+FIELD_TYPES = {**field_types(TrainPlan), **field_types(ModelConfig)}
 
 
 BUNDLED_STATS = [
@@ -41,6 +43,14 @@ MALFORMED_HEADERS = {
     ),
     "alphabet_size": lambda h: h["vocab"].update(
         alphabet=h["vocab"]["alphabet"] + "Ω"
+    ),
+    # config values of the wrong type, which the shapes alone would not catch
+    "float_hidden_dim": lambda h: h["config"].update(hidden_dim=16.0),
+    "string_residual": lambda h: h["config"].update(residual="no"),
+    "bool_num_layers": lambda h: h["config"].update(num_layers=True),
+    # decision letters other than the codec's: alef takes a dagesh
+    "other_decision_letters": lambda h: h.update(
+        dagesh_capable="".join(sorted(h["dagesh_capable"] + "א"))
     ),
 }
 
@@ -113,23 +123,32 @@ class TestTrain:
         assert code == 3
         assert "learning_rate" in err
 
-    @pytest.mark.parametrize(
-        "line", ["hidden_dim = banana", "seed = 1.5", "residual = 1", "dropout = true",
-                 "lr_policy = 3"]
-    )
+    # config line -> flags given with it; a flag that overrides a file value
+    # does not hide that value's wrong type
+    BAD_CONFIG = {
+        "hidden_dim = banana": [], "seed = 1.5": [], "residual = 1": [],
+        "dropout = true": [], "lr_policy = 3": [], "lr_policy = bogus": [],
+        "base_lr = 1.0": [], "hidden_dim = 8.5": ["--hidden-dim", "8"],
+    }
+
+    @pytest.mark.parametrize("line", list(BAD_CONFIG))
     def test_config_value_of_wrong_type(self, capsys, bundled_corpus_root, tmp_path, line):
         conf = tmp_path / "train.conf"
         conf.write_text(line + "\n", encoding="utf-8")
+        old_log = tmp_path / "m.nkdm.log"
+        old_log.write_bytes(b"1\t0.0003\t3.5\tmodern\n")  # an earlier run's log
         code, _, err = run(
             capsys,
             "train",
             "--corpus", str(bundled_corpus_root),
             "--out", str(tmp_path / "m.nkdm"),
             "--config", str(conf),
+            *self.BAD_CONFIG[line],
         )
         assert code == 3
         assert line.split()[0] in err
         assert not (tmp_path / "m.nkdm").exists()
+        assert old_log.read_bytes() == b"1\t0.0003\t3.5\tmodern\n"
 
     def test_missing_corpus(self, capsys, tmp_path):
         code, _, err = run(
@@ -257,7 +276,7 @@ class TestDot:
         src.write_text("שלום\n", encoding="utf-8")
         code, _, err = run(capsys, "dot", "--model", str(bad), str(src))
         assert code == 4
-        assert "error:" in err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestBadModels:
@@ -303,7 +322,7 @@ class TestBadModels:
 # hold only characters a UTF-8 file can store (no lone surrogates)
 config_lines = st.lists(
     st.tuples(
-        st.sampled_from(sorted(_FIELD_TYPES) + ["learning_rate", "vocab_size"]),
+        st.sampled_from(sorted(FIELD_TYPES) + ["learning_rate", "vocab_size"]),
         st.one_of(
             st.integers(-5, 500).map(str),
             st.floats(allow_nan=True).map(repr),
@@ -333,7 +352,7 @@ def test_config_merge_gives_valid_settings_or_value_error(tmp_path, lines):
         assert isinstance(config, ModelConfig)
         merged.update(dataclasses.asdict(config))
     for field, value in merged.items():
-        want = _FIELD_TYPES[field]
+        want = FIELD_TYPES[field]
         assert isinstance(value, bool) == (want is bool), field
         assert isinstance(value, (int, float) if want is float else want), field
 

@@ -455,10 +455,6 @@ class TestPredicates:
     def test_shin_only(self):
         assert decision_masks("שס")["sin"].tolist() == [True, False]
 
-    def test_custom_capability_set(self):
-        masks = decision_masks("בג", dagesh_capable=frozenset("ג"))
-        assert masks["dagesh"].tolist() == [False, True]
-
 
 class VowelClass(Enum):
     """What a reader hears, as the oracle's vowel groups spell it."""

@@ -225,35 +225,36 @@ class TestVocabulary:
         vocab = Vocabulary()
         assert vocab.PAD == 0 and vocab.UNK == 1
         assert vocab.size == 65
-        assert vocab.id(" ") == 2
+        assert vocab.encode(" ").tolist() == [2]
 
     def test_fixed_and_deterministic(self):
-        assert Vocabulary().char_to_id == Vocabulary().char_to_id
+        assert Vocabulary().alphabet == Vocabulary().alphabet
 
     def test_unknown_maps_to_unk(self):
         vocab = Vocabulary()
-        assert vocab.id("ל") > 1
-        assert vocab.id("€") == vocab.UNK
-        assert vocab.id("a") == vocab.UNK  # raw Latin never reaches encode
+        assert vocab.encode("ל")[0] > 1
+        assert vocab.encode("€")[0] == vocab.UNK
+        assert vocab.encode("a")[0] == vocab.UNK  # raw Latin never reaches encode
 
     def test_encode(self):
         vocab = Vocabulary()
         ids = vocab.encode("אב ")
         assert ids.dtype == np.int32
-        assert ids.tolist() == [vocab.id("א"), vocab.id("ב"), 2]
+        alef, bet = (vocab.alphabet.index(ch) + 2 for ch in "אב")
+        assert ids.tolist() == [alef, bet, 2]
 
     def test_json_round_trip(self):
         vocab = Vocabulary()
         again = Vocabulary.from_json(vocab.to_json())
-        assert again.char_to_id == vocab.char_to_id
+        assert again.alphabet == vocab.alphabet
         assert again.size == vocab.size
 
     def test_normalized_alphabet_covered(self, bundled_corpus_root):
         vocab = Vocabulary()
         for split in SPLITS:
             for doc in load_corpus(bundled_corpus_root, split):
-                for ch in doc.letters:
-                    assert vocab.id(ch) != vocab.UNK, ch
+                ids = vocab.encode(doc.letters)
+                assert (ids != vocab.UNK).all(), doc.id
 
     def test_duplicate_alphabet_rejected(self):
         alphabet = Vocabulary().to_json()["alphabet"]
@@ -357,12 +358,6 @@ class TestEncodeDocument:
             for chunk in encode_document(doc, vocab):
                 assert 1 <= chunk.length <= MAX_CHUNK_LEN
 
-    def test_custom_capability_sets(self):
-        doc = doc_from_text("בגד", doc_id="x")
-        vocab = Vocabulary()
-        (chunk,) = encode_document(doc, vocab, dagesh_capable=frozenset("ב"))
-        assert chunk.masks["dagesh"].tolist() == [True, False, False]
-
 
 class TestBatches:
     def _chunks(self, bundled_corpus_root):
@@ -370,15 +365,24 @@ class TestBatches:
         docs = load_corpus(bundled_corpus_root, "modern")
         return [c for d in docs for c in encode_document(d, vocab)]
 
-    def test_partition_exact(self, bundled_corpus_root):
-        chunks = self._chunks(bundled_corpus_root)
-        batches = make_batches(chunks, batch_size=7, seed=5)
-        seen = [
-            (batch.doc_ids[i], batch.offsets[i])
+    @staticmethod
+    def _keys(chunks):
+        """Each chunk as (document id, letter id bytes)."""
+        return [(c.doc_id, c.letter_ids.tobytes()) for c in chunks]
+
+    @staticmethod
+    def _rows(batches):
+        """Each batch row as (document id, letter id bytes of its length)."""
+        return [
+            (batch.doc_ids[i], batch.letter_ids[i, : batch.lengths[i]].tobytes())
             for batch in batches
             for i in range(batch.size)
         ]
-        assert sorted(seen) == sorted((c.doc_id, c.offset) for c in chunks)
+
+    def test_partition_exact(self, bundled_corpus_root):
+        chunks = self._chunks(bundled_corpus_root)
+        batches = make_batches(chunks, batch_size=7, seed=5)
+        assert sorted(self._rows(batches)) == sorted(self._keys(chunks))
 
     def test_shuffle_deterministic(self, bundled_corpus_root):
         chunks = self._chunks(bundled_corpus_root)
@@ -392,17 +396,12 @@ class TestBatches:
         chunks = self._chunks(bundled_corpus_root)
         a = make_batches(chunks, batch_size=8, seed=3)
         b = make_batches(chunks, batch_size=8, seed=4)
-        assert any(x.doc_ids != y.doc_ids or x.offsets != y.offsets for x, y in zip(a, b))
+        assert self._rows(a) != self._rows(b)
 
     def test_none_seed_keeps_order(self, bundled_corpus_root):
         chunks = self._chunks(bundled_corpus_root)
         batches = make_batches(chunks, batch_size=5, seed=None)
-        flat = [
-            (batch.doc_ids[i], batch.offsets[i])
-            for batch in batches
-            for i in range(batch.size)
-        ]
-        assert flat == [(c.doc_id, c.offset) for c in chunks]
+        assert self._rows(batches) == self._keys(chunks)
 
     def test_padding_is_inert(self, bundled_corpus_root):
         chunks = self._chunks(bundled_corpus_root)

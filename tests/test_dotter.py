@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from hebdot import corpus, dotter as dotter_module
-from hebdot.codec import (
-    DAGESH_CAPABLE,
-    NIQQUD_CAPABLE,
-    Niqqud,
-    parse,
-    strip_diacritics,
-)
+from hebdot.codec import Niqqud, parse, strip_diacritics
 from hebdot.corpus import (
     CATEGORIES,
     SPLITS,
@@ -276,12 +270,7 @@ class TestPaperSize:
             vocab_size=vocab.size, embed_dim=400, hidden_dim=400, num_layers=2
         )
         ckpt = Checkpoint(
-            params=init_params(config, seed=9),
-            config=config,
-            vocab=vocab,
-            dagesh_capable=DAGESH_CAPABLE,
-            niqqud_capable=NIQQUD_CAPABLE,
-            meta={},
+            params=init_params(config, seed=9), config=config, vocab=vocab, meta={}
         )
         dotter = Dotter(ckpt)
         lines = [
@@ -303,12 +292,7 @@ def wide_checkpoint():
     vocab = Vocabulary()
     config = ModelConfig(vocab_size=vocab.size, embed_dim=128, hidden_dim=128)
     return Checkpoint(
-        params=init_params(config, seed=4),
-        config=config,
-        vocab=vocab,
-        dagesh_capable=DAGESH_CAPABLE,
-        niqqud_capable=NIQQUD_CAPABLE,
-        meta={},
+        params=init_params(config, seed=4), config=config, vocab=vocab, meta={}
     )
 
 

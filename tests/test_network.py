@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from hebdot.network import (
     param_shapes,
     save_checkpoint,
 )
+from hebdot.codec import DAGESH_CAPABLE, NIQQUD_CAPABLE
 from hebdot.corpus import SPLITS, Vocabulary, encode_document, load_corpus, make_batches
 from network_oracle import reference_forward
 
@@ -48,6 +51,12 @@ class TestConfig:
             ModelConfig(vocab_size=10, num_layers=0)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, dropout=1.0)
+        with pytest.raises(ValueError, match="hidden_dim"):
+            ModelConfig(vocab_size=10, hidden_dim=8.0)
+        with pytest.raises(ValueError, match="residual"):
+            ModelConfig(vocab_size=10, residual="no")
+        with pytest.raises(ValueError, match="num_layers"):
+            ModelConfig(vocab_size=10, num_layers=True)
 
     def test_residual_needs_two_layers(self):
         with pytest.raises(ValueError):
@@ -573,9 +582,12 @@ class TestCheckpoint:
             assert again.params[name].dtype == np.float32
             again.params[name][...] = 0.0  # must be an owned, writable copy
         assert again.config == config
-        assert again.vocab.char_to_id == vocab.char_to_id
-        assert again.dagesh_capable and "א" not in again.dagesh_capable
+        assert again.vocab.alphabet == vocab.alphabet
         assert again.meta["step"] == 3
+        (n,) = struct.unpack("<I", path.read_bytes()[8:12])
+        header = json.loads(path.read_bytes()[12 : 12 + n])
+        assert header["dagesh_capable"] == "".join(sorted(DAGESH_CAPABLE))
+        assert header["niqqud_capable"] == "".join(sorted(NIQQUD_CAPABLE))
 
     def test_save_is_reproducible(self, tmp_path):
         p1, p2 = tmp_path / "a.nkdm", tmp_path / "b.nkdm"

@@ -171,6 +171,14 @@ class TestPlan:
             TrainPlan(log_every=0)
         with pytest.raises(ValueError):
             TrainPlan(checkpoint_every=-1)
+        with pytest.raises(ValueError, match="seed"):
+            TrainPlan(seed=1.5)
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainPlan(batch_size=8.0)
+        with pytest.raises(ValueError, match="lr_policy"):
+            TrainPlan(lr_policy="bogus")
+        with pytest.raises(ValueError, match="base_lr"):
+            TrainPlan(base_lr=0.1, max_lr=0.01)
 
 
 TINY = dict(embed_dim=16, hidden_dim=16)
