@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import typing
@@ -807,64 +808,80 @@ def save_checkpoint(
 def load_checkpoint(path: Path | str) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
+    Reads the file front to back, each array straight into its 16-byte
+    aligned place in one float32 buffer (one allocation, which the C
+    allocator keeps for a later load), so a load holds one copy of the
+    weights.  Every length in the file is checked against the bytes left
+    before it is read or allocated for.
     Raises VersionMismatch for a future format version and CorruptCheckpoint
     for anything that does not parse cleanly: a config value of the wrong
     type, decision letters other than the codec's, or arrays whose names and
     shapes differ from :func:`param_shapes` of the stored config.
     """
-    data = Path(path).read_bytes()
-    view = memoryview(data)
-    pos = 0
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pos = 0  # where the next field starts
 
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise CorruptCheckpoint(f"{path}: truncated at byte {pos}")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
+        def fits(n: int) -> int:
+            if n > size - pos:
+                raise CorruptCheckpoint(f"{path}: truncated at byte {pos}")
+            return n
 
-    def take_u32() -> int:
-        return struct.unpack("<I", take(4))[0]
+        def take(n: int) -> bytes:
+            nonlocal pos
+            pos += fits(n)
+            return f.read(n)
 
-    if bytes(take(4)) != CHECKPOINT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: bad magic, not a model checkpoint")
-    version = take_u32()
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(
-            f"{path}: format version {version}, this build reads {CHECKPOINT_VERSION}"
-        )
-    try:
-        header = json.loads(bytes(take(take_u32())).decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        vocab = Vocabulary.from_json(header["vocab"])
-        if vocab.size != config.vocab_size:
-            raise CorruptCheckpoint(f"{path}: vocabulary size != config.vocab_size")
-        if any(header[k] != v for k, v in _DECISION_LETTERS.items()):
-            raise CorruptCheckpoint(f"{path}: decision letters differ from this build's")
-        # names and shapes only: a pass over the elements would cost more
-        # than the load; non-finite weights surface as NonFiniteActivation
-        expected = param_shapes(config)
-        n_arrays = take_u32()
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_arrays):
-            name = bytes(take(take_u32())).decode("utf-8")
-            rank = take_u32()
-            shape = struct.unpack(f"<{rank}I", take(4 * rank))
-            if expected.get(name) != shape or name in params:
-                raise CorruptCheckpoint(
-                    f"{path}: array {name!r} of shape {shape} is unexpected,"
-                    " misshapen or repeated for the config"
-                )
-            n_items = int(np.prod(shape)) if rank else 1
-            arr = np.frombuffer(take(4 * n_items), dtype="<f4").reshape(shape)
-            params[name] = arr.astype(np.float32)  # owned, writable copy
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        if isinstance(exc, (CorruptCheckpoint, VersionMismatch)):
-            raise
-        raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from exc
-    if pos != len(view):
-        raise CorruptCheckpoint(f"{path}: {len(view) - pos} trailing bytes")
+        def take_u32() -> int:
+            return struct.unpack("<I", take(4))[0]
+
+        if take(4) != CHECKPOINT_MAGIC:
+            raise CorruptCheckpoint(f"{path}: bad magic, not a model checkpoint")
+        version = take_u32()
+        if version != CHECKPOINT_VERSION:
+            raise VersionMismatch(
+                f"{path}: format version {version}, this build reads {CHECKPOINT_VERSION}"
+            )
+        try:
+            header = json.loads(take(take_u32()).decode("utf-8"))
+            config = ModelConfig(**header["config"])
+            vocab = Vocabulary.from_json(header["vocab"])
+            if vocab.size != config.vocab_size:
+                raise CorruptCheckpoint(f"{path}: vocabulary size != config.vocab_size")
+            if any(header[k] != v for k, v in _DECISION_LETTERS.items()):
+                raise CorruptCheckpoint(f"{path}: decision letters differ from this build's")
+            # names and shapes only: a pass over the elements would cost more
+            # than the load; non-finite weights surface as NonFiniteActivation
+            expected = param_shapes(config)
+            fits(4 * sum(map(math.prod, expected.values())))  # before the allocation
+            spans, end = {}, 0
+            for name in sorted(expected):  # the order save_checkpoint writes
+                n = math.prod(expected[name])
+                spans[name], end = slice(end, end + n), end + -(-n // 4) * 4
+            flat = np.empty(end, dtype="<f4")
+            n_arrays = fits(take_u32())
+            params: dict[str, np.ndarray] = {}
+            for _ in range(n_arrays):
+                name = take(take_u32()).decode("utf-8")
+                rank = take_u32()
+                shape = struct.unpack(f"<{rank}I", take(4 * rank))
+                if expected.get(name) != shape or name in params:
+                    raise CorruptCheckpoint(
+                        f"{path}: array {name!r} of shape {shape} is unexpected,"
+                        " misshapen or repeated for the config"
+                    )
+                arr = flat[spans[name]].reshape(shape)
+                pos += fits(arr.nbytes)
+                f.readinto(arr)
+                params[name] = arr.astype(np.float32, copy=False)  # no-op when little-endian
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            if isinstance(exc, (CorruptCheckpoint, VersionMismatch)):
+                raise
+            raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from exc
+        if f.tell() != pos:  # a read came up short: the file shrank under us
+            raise CorruptCheckpoint(f"{path}: truncated at byte {f.tell()}")
+    if pos != size:
+        raise CorruptCheckpoint(f"{path}: {size - pos} trailing bytes")
     if len(params) != len(expected):
         missing = ", ".join(sorted(expected.keys() - params.keys()))
         raise CorruptCheckpoint(f"{path}: arrays missing for the config: {missing}")

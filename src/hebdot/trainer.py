@@ -83,8 +83,8 @@ class LRSchedule:
             raise ValueError(f"policy must be one of {_POLICIES}")
         if self.step_size_up < 1:
             raise ValueError("step_size_up must be positive")
-        if not 0.0 < self.base_lr <= self.max_lr:
-            raise ValueError("need 0 < base_lr <= max_lr")
+        if not (0.0 < self.base_lr <= self.max_lr < math.inf and 0.0 < self.gamma <= 1.0):
+            raise ValueError("need 0 < base_lr <= max_lr < inf and 0 < gamma <= 1")
 
     def lr_at(self, step: int) -> float:
         if step < 0:
@@ -170,6 +170,9 @@ class TrainPlan:
             raise ValueError("log_every must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0
+                and 0.0 < self.eps < math.inf):
+            raise ValueError("need 0 <= beta1, beta2 < 1 and 0 < eps < inf")
         try:  # the schedule's own rule, checked before train opens any file
             LRSchedule(self.base_lr, self.max_lr, policy=self.lr_policy, gamma=self.lr_gamma)
         except ValueError as exc:

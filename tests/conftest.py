@@ -7,7 +7,9 @@ the two routes.
 
 from __future__ import annotations
 
+import math
 import os
+import struct
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,27 @@ def corpus_root() -> Path:
 def doc_from_text(text: str, doc_id: str = "doc") -> Document:
     """A test document read from dotted text by the rule loading uses."""
     return Document.from_text(doc_id, "test", text)
+
+
+def checkpoint_fields(blob: bytes) -> list[tuple[str, int, int]]:
+    """``(field, start, end)`` for every field of a version-1 checkpoint, in
+    file order, walked from the documented layout and not by the loader."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    fields = [("magic", 0, 4), ("version", 4, 8), ("header length", 8, 12),
+              ("header", 12, 12 + n), ("array count", 12 + n, 16 + n)]
+    (count,) = struct.unpack_from("<I", blob, 12 + n)
+    pos = 16 + n
+    for _ in range(count):
+        (k,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4 : pos + 4 + k].decode("utf-8")
+        (rank,) = struct.unpack_from("<I", blob, pos + 4 + k)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 8 + k)
+        for field, size in (("name length", 4), ("name", k), ("rank", 4),
+                            ("dims", 4 * rank), ("data", 4 * math.prod(dims))):
+            fields.append((f"{name} {field}", pos, pos + size))
+            pos += size
+    assert pos == len(blob)
+    return fields
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hebdot.cli import _merge_settings, build_parser, main
+from hebdot.corpus import Vocabulary
 from hebdot.dotter import Dotter
-from hebdot.network import ModelConfig, field_types, load_checkpoint, save_checkpoint
+from hebdot.network import (
+    ModelConfig,
+    field_types,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from hebdot.trainer import TrainPlan
+
+from conftest import checkpoint_fields
 
 FIELD_TYPES = {**field_types(TrainPlan), **field_types(ModelConfig)}
 
@@ -48,6 +57,8 @@ MALFORMED_HEADERS = {
     "float_hidden_dim": lambda h: h["config"].update(hidden_dim=16.0),
     "string_residual": lambda h: h["config"].update(residual="no"),
     "bool_num_layers": lambda h: h["config"].update(num_layers=True),
+    # arrays of 2^42 floats: checked against the bytes left, never allocated
+    "huge_hidden_dim": lambda h: h["config"].update(hidden_dim=1 << 20),
     # decision letters other than the codec's: alef takes a dagesh
     "other_decision_letters": lambda h: h.update(
         dagesh_capable="".join(sorted(h["dagesh_capable"] + "א"))
@@ -129,6 +140,7 @@ class TestTrain:
         "hidden_dim = banana": [], "seed = 1.5": [], "residual = 1": [],
         "dropout = true": [], "lr_policy = 3": [], "lr_policy = bogus": [],
         "base_lr = 1.0": [], "hidden_dim = 8.5": ["--hidden-dim", "8"],
+        "lr_gamma = -1": ["--lr-policy", "exp_range"],
     }
 
     @pytest.mark.parametrize("line", list(BAD_CONFIG))
@@ -316,6 +328,74 @@ class TestBadModels:
         assert code == 4
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestDamagedCheckpointFuzz:
+    """Seeded damage to a hidden-8 checkpoint, each case run through ``dot``
+    in this process: a truncated file or an oversized length field exits 4
+    with an error line, and a bit flip outside the float data exits 4 or,
+    where the file still loads, 0 with only diacritics added.  Flips in the
+    float data are left out: only a checksum could catch them."""
+
+    TEXT = "שלום עולם\n"
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        vocab = Vocabulary()
+        config = ModelConfig(vocab_size=vocab.size, embed_dim=8, hidden_dim=8)
+        path = tmp_path_factory.mktemp("fuzz") / "m.nkdm"
+        save_checkpoint(path, init_params(config, seed=7), config, vocab)
+        return path.read_bytes()
+
+    def dot(self, capsys, tmp_path, blob):
+        model, src = tmp_path / "bad.nkdm", tmp_path / "in.txt"
+        model.write_bytes(blob)
+        src.write_text(self.TEXT, encoding="utf-8")
+        return run(capsys, "dot", "--model", str(model), str(src))
+
+    def test_truncations(self, capsys, tmp_path, blob):
+        fields = checkpoint_fields(blob)
+        data = [(f, a, b) for f, a, b in fields if f.endswith(" data")]
+        cuts = {f"inside {f}": (a + b) // 2 for f, a, b in fields if not f.endswith(" data")}
+        cuts |= {f"inside {f}": (a + b) // 2 for f, a, b in (data[0], data[-1])}
+        cuts["one byte short"] = len(blob) - 1
+        assert len(cuts) > 90
+        for case, cut in cuts.items():
+            code, out, err = self.dot(capsys, tmp_path, blob[:cut])
+            assert (code, out) == (4, ""), case
+            assert err.startswith("error:") and "truncated" in err, case
+
+    def test_lengths_of_ff_ff_ff_ff(self, capsys, tmp_path, blob):
+        starts = {f: a for f, a, _ in checkpoint_fields(blob)}
+        first = next(f for f in starts if f.endswith(" name"))[: -len(" name")]
+        for field in ("header length", "array count", f"{first} name length",
+                      f"{first} rank", f"{first} dims"):
+            at = starts[field]
+            code, out, err = self.dot(capsys, tmp_path, blob[:at] + b"\xff" * 4 + blob[at + 4 :])
+            assert (code, out) == (4, ""), field
+            assert err.startswith("error:") and "Traceback" not in err, field
+
+    def test_bit_flips_outside_the_floats(self, capsys, tmp_path, blob):
+        offsets = [
+            i for f, a, b in checkpoint_fields(blob) if not f.endswith(" data")
+            for i in range(a, b)
+        ]
+        rng = np.random.default_rng(15)
+        exits = []
+        for at, bit in zip(rng.choice(offsets, size=104, replace=False),
+                           rng.integers(0, 8, size=104)):
+            flipped = bytearray(blob)
+            flipped[at] ^= 1 << bit
+            code, out, err = self.dot(capsys, tmp_path, bytes(flipped))
+            case = f"bit {bit} of byte {at}"
+            assert code in (0, 4), case
+            if code == 4:
+                assert out == "" and err.startswith("error:"), case
+                assert "Traceback" not in err, case
+            else:  # the file still loads: dotting adds marks and nothing else
+                assert "".join(c for c in out if not "\u0591" <= c <= "\u05c7") == self.TEXT, case
+            exits.append(code)
+        assert exits.count(4) > len(exits) // 2  # 98 of 104 at this seed
 
 
 # config lines: known keys (and a few unknown ones) with values of any type; text values

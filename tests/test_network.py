@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from hebdot.network import (
 )
 from hebdot.codec import DAGESH_CAPABLE, NIQQUD_CAPABLE
 from hebdot.corpus import SPLITS, Vocabulary, encode_document, load_corpus, make_batches
+from conftest import checkpoint_fields
 from network_oracle import reference_forward
 
 
@@ -580,7 +582,7 @@ class TestCheckpoint:
         for name in params:
             assert np.array_equal(again.params[name], params[name])
             assert again.params[name].dtype == np.float32
-            again.params[name][...] = 0.0  # must be an owned, writable copy
+            again.params[name][...] = 0.0  # writable, and apart from the other arrays
         assert again.config == config
         assert again.vocab.alphabet == vocab.alphabet
         assert again.meta["step"] == 3
@@ -588,6 +590,43 @@ class TestCheckpoint:
         header = json.loads(path.read_bytes()[12 : 12 + n])
         assert header["dagesh_capable"] == "".join(sorted(DAGESH_CAPABLE))
         assert header["niqqud_capable"] == "".join(sorted(NIQQUD_CAPABLE))
+
+    def test_arrays_are_the_files_bytes(self, tmp_path):
+        path = tmp_path / "m.nkdm"
+        self._save(path)
+        blob = path.read_bytes()
+        stored = {
+            field[: -len(" data")]: np.frombuffer(blob[start:end], dtype="<f4")
+            for field, start, end in checkpoint_fields(blob)
+            if field.endswith(" data")
+        }
+        again = load_checkpoint(path)
+        assert again.params.keys() == stored.keys()
+        for name, arr in again.params.items():
+            assert arr.shape == param_shapes(again.config)[name]
+            assert np.array_equal(arr.ravel(), stored[name])
+
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; a loader that holds the
+        # file's bytes and a copy of each array peaks at 2.0x the weights
+        path = tmp_path / "m.nkdm"
+        vocab = Vocabulary()
+        config = ModelConfig(vocab_size=vocab.size, embed_dim=128, hidden_dim=128)
+        params = init_params(config, seed=5)
+        save_checkpoint(path, params, config, vocab)
+        tracemalloc.start()
+        try:
+            again = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sum(arr.nbytes for arr in params.values())
+        for arr in again.params.values():
+            assert arr.dtype == np.float32
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+            assert arr.ctypes.data % 16 == 0
+        spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in again.params.values())
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
     def test_save_is_reproducible(self, tmp_path):
         p1, p2 = tmp_path / "a.nkdm", tmp_path / "b.nkdm"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,11 @@ class TestLRSchedule:
             LRSchedule(base_lr=0.0)
         with pytest.raises(ValueError):
             LRSchedule().lr_at(-1)
+        with pytest.raises(ValueError, match="max_lr"):
+            LRSchedule(max_lr=math.inf)
+        for gamma in (-1.0, 0.0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                LRSchedule(policy="exp_range", gamma=gamma, step_size_up=2)
 
 
 class TestAdam:
@@ -179,6 +186,19 @@ class TestPlan:
             TrainPlan(lr_policy="bogus")
         with pytest.raises(ValueError, match="base_lr"):
             TrainPlan(base_lr=0.1, max_lr=0.01)
+        with pytest.raises(ValueError, match="max_lr"):
+            TrainPlan(max_lr=math.inf)
+        with pytest.raises(ValueError, match="lr_gamma"):
+            TrainPlan(lr_gamma=math.nan)
+        for beta in (-0.1, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match="beta1"):
+                TrainPlan(beta1=beta)
+            with pytest.raises(ValueError, match="beta2"):
+                TrainPlan(beta2=beta)
+        for eps in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                TrainPlan(eps=eps)
+        TrainPlan(beta1=0.0, beta2=0.0, lr_policy="exp_range", lr_gamma=1.0)  # the edges that hold
 
 
 TINY = dict(embed_dim=16, hidden_dim=16)
