@@ -27,6 +27,11 @@ the top features.  Nothing nonlinear sits between the projection and the
 heads, so the projection's gradients are taken through the heads' 16 logit
 columns instead of through the 2H-wide gradient of its output.
 
+Parameters, gradients and Adam's moments share the loader's layout,
+:func:`param_layout`: one flat buffer, arrays in sorted name order at
+16-byte boundaries, handed out as a dict of views.  A checkpoint can be
+read from a pipe as well as from a regular file.
+
 Everything is deterministic given the seeds: parameter init draws in a
 fixed order, and dropout masks are created outside the forward pass so the
 same masks can be replayed.
@@ -35,9 +40,11 @@ same masks can be replayed.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
+import stat
 import struct
 import typing
 from dataclasses import dataclass
@@ -63,6 +70,9 @@ __all__ = [
     "field_types",
     "check_setting",
     "param_shapes",
+    "param_layout",
+    "param_views",
+    "flat_of",
     "init_params",
     "make_dropout_masks",
     "layer0_tables",
@@ -174,23 +184,50 @@ def param_shapes(config: ModelConfig) -> Mapping[str, tuple[int, ...]]:
     return MappingProxyType(shapes)
 
 
+@lru_cache(maxsize=8)
+def param_layout(config: ModelConfig) -> tuple[Mapping[str, slice], int]:
+    """Each parameter's span in one flat buffer, and its length: sorted name
+    order, as :func:`save_checkpoint` writes, spans 4-element aligned; cached."""
+    spans, end = {}, 0
+    for name, shape in sorted(param_shapes(config).items()):
+        n = math.prod(shape)
+        spans[name], end = slice(end, end + n), end + -(-n // 4) * 4
+    return MappingProxyType(spans), end
+
+
+def param_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """``flat`` as views named and shaped as :func:`param_shapes`, in its order."""
+    spans = param_layout(config)[0]
+    return {k: flat[spans[k]].reshape(shape) for k, shape in param_shapes(config).items()}
+
+
+def flat_of(views: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The one buffer every array of ``views`` is a view of, else ValueError."""
+    flat = next(iter(views.values())).base
+    if flat is None or any(v.base is not flat for v in views.values()):
+        raise ValueError("arrays are not views of one parameter buffer")
+    return flat
+
+
 def init_params(
     config: ModelConfig, seed: int, dtype: np.dtype = np.float32
 ) -> dict[str, np.ndarray]:
-    """Fresh parameters.  Weights are Xavier-uniform, biases zero except the
-    LSTM forget-gate slice, which starts at 1 so early gradients flow."""
+    """Fresh parameters, :func:`param_views` of one buffer.  Weights are
+    Xavier-uniform, biases zero but the LSTM forget-gate slice, which starts
+    at 1 so early gradients flow."""
     rng = np.random.Generator(np.random.PCG64(seed))
     h = config.hidden_dim
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        if len(shape) == 2:
-            fan_in, fan_out = shape
+    params = param_views(config, np.zeros(param_layout(config)[1], dtype))
+    for name, p in params.items():
+        if p.ndim == 2:
+            fan_in, fan_out = p.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-        else:
-            params[name] = np.zeros(shape, dtype=dtype)
-            if name.startswith("lstm"):
-                params[name][h : 2 * h] = 1.0  # gate layout: input | forget | cell | output
+            # at most 64 rows per draw, the same values as one draw: float64
+            # temporaries of a whole array would stay resident in the heap
+            for block in np.array_split(p, -(-fan_in // 64)):
+                block[...] = rng.uniform(-limit, limit, size=block.shape)
+        elif name.startswith("lstm"):
+            p[h : 2 * h] = 1.0  # gate layout: input | forget | cell | output
     return params
 
 
@@ -472,10 +509,6 @@ def compute_loss(
     return masked_loss(logits, golds, masks)
 
 
-def _zeros_like_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 def loss_and_grads(
     params: dict[str, np.ndarray],
     config: ModelConfig,
@@ -485,18 +518,21 @@ def loss_and_grads(
     masks: dict[str, np.ndarray],
     dropout_masks: list[np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus analytic gradients for every parameter.
+    """Loss plus analytic gradients for every parameter, as
+    :func:`param_views` of one zeroed buffer.
 
     Masked positions contribute exactly zero: their rows are never gathered
     into the loss, so no rounding residue from them can reach a gradient.
     """
+    dtype = params["embedding"].dtype
+    # allocated before the forward pass: taken after it, one buffer this
+    # size finds no freed hole to reuse and a step's resident peak grows
+    grads = param_views(config, np.zeros(param_layout(config)[1], dtype))
     logits, cache = forward(params, config, ids, lengths, dropout_masks)
     loss, count, live = _head_nll(logits, golds, masks)
-    grads = _zeros_like_params(params)
     if count == 0:
         return 0.0, grads
 
-    dtype = cache.feats.dtype
     B, T = ids.shape
     H2 = 2 * config.hidden_dim
     # logit gradients of all heads side by side, one column block per head
@@ -808,18 +844,24 @@ def save_checkpoint(
 def load_checkpoint(path: Path | str) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Reads the file front to back, each array straight into its 16-byte
-    aligned place in one float32 buffer (one allocation, which the C
+    Reads the file front to back, each array straight into its place in one
+    float32 buffer of :func:`param_layout` (one allocation, which the C
     allocator keeps for a later load), so a load holds one copy of the
-    weights.  Every length in the file is checked against the bytes left
-    before it is read or allocated for.
+    weights; the arrays are :func:`param_views` of it, the padding between
+    them unset.  A file that is not a regular one, such as a pipe, is read
+    whole and parsed from memory.  Every length in the file is checked
+    against the bytes left before it is read or allocated for.
     Raises VersionMismatch for a future format version and CorruptCheckpoint
     for anything that does not parse cleanly: a config value of the wrong
     type, decision letters other than the codec's, or arrays whose names and
     shapes differ from :func:`param_shapes` of the stored config.
     """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+    with open(path, "rb") as raw:
+        st = os.fstat(raw.fileno())
+        f, size = raw, st.st_size
+        if not stat.S_ISREG(st.st_mode):  # a pipe's size reads 0
+            data = raw.read()
+            f, size = io.BytesIO(data), len(data)
         pos = 0  # where the next field starts
 
         def fits(n: int) -> int:
@@ -853,27 +895,24 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             # names and shapes only: a pass over the elements would cost more
             # than the load; non-finite weights surface as NonFiniteActivation
             expected = param_shapes(config)
-            fits(4 * sum(map(math.prod, expected.values())))  # before the allocation
-            spans, end = {}, 0
-            for name in sorted(expected):  # the order save_checkpoint writes
-                n = math.prod(expected[name])
-                spans[name], end = slice(end, end + n), end + -(-n // 4) * 4
+            spans, end = param_layout(config)
+            fits(4 * end)  # before the allocation; no padding outweighs a name and dims
             flat = np.empty(end, dtype="<f4")
             n_arrays = fits(take_u32())
-            params: dict[str, np.ndarray] = {}
+            seen: set[str] = set()
             for _ in range(n_arrays):
                 name = take(take_u32()).decode("utf-8")
                 rank = take_u32()
                 shape = struct.unpack(f"<{rank}I", take(4 * rank))
-                if expected.get(name) != shape or name in params:
+                if expected.get(name) != shape or name in seen:
                     raise CorruptCheckpoint(
                         f"{path}: array {name!r} of shape {shape} is unexpected,"
                         " misshapen or repeated for the config"
                     )
-                arr = flat[spans[name]].reshape(shape)
+                seen.add(name)
+                arr = flat[spans[name]]
                 pos += fits(arr.nbytes)
                 f.readinto(arr)
-                params[name] = arr.astype(np.float32, copy=False)  # no-op when little-endian
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             if isinstance(exc, (CorruptCheckpoint, VersionMismatch)):
                 raise
@@ -882,11 +921,12 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             raise CorruptCheckpoint(f"{path}: truncated at byte {f.tell()}")
     if pos != size:
         raise CorruptCheckpoint(f"{path}: {size - pos} trailing bytes")
-    if len(params) != len(expected):
-        missing = ", ".join(sorted(expected.keys() - params.keys()))
+    if len(seen) != len(expected):
+        missing = ", ".join(sorted(expected.keys() - seen))
         raise CorruptCheckpoint(f"{path}: arrays missing for the config: {missing}")
     return Checkpoint(
-        params=params,
+        # no-op when little-endian
+        params=param_views(config, flat.astype(np.float32, copy=False)),
         config=config,
         vocab=vocab,
         meta=header.get("meta", {}),

@@ -36,6 +36,7 @@ from .network import (
     NonFiniteLoss,
     check_setting,
     field_types,
+    flat_of,
     forward,
     init_params,
     loss_and_grads,
@@ -106,36 +107,36 @@ class LRSchedule:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # flat, shaped as the parameter buffer
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            v={k: np.zeros_like(v) for k, v in params.items()},
-        )
+    def init(cls, flat: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
+
+
+_ADAM_SLICE = 1 << 16  # elements per pass: temporaries this size stay in cache
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias correction; eps sits outside the
-    square root."""
+    """One in-place Adam update with bias correction of flat buffers (see
+    :func:`~hebdot.network.flat_of`); eps sits outside the square root.
+    Elements update independently, so slicing changes no bit."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    for start in range(0, len(params), _ADAM_SLICE):
+        at = slice(start, start + _ADAM_SLICE)
+        p, g, m, v = params[at], grads[at], state.m[at], state.v[at]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -225,7 +226,7 @@ def _train_step(
         batch.masks,
         masks,
     )
-    adam_step(params, grads, adam, lr, **adam_kw)
+    adam_step(flat_of(params), flat_of(grads), adam, lr, **adam_kw)
     return loss
 
 
@@ -257,7 +258,7 @@ def train(
             f"config.vocab_size {config.vocab_size} != vocabulary size {vocab.size}"
         )
     params = init_params(config, plan.seed)
-    adam = AdamState.init(params)
+    adam = AdamState.init(flat_of(params))
 
     try:
         val_docs: list[Document] | None = load_corpus(root, "validation")
@@ -435,7 +436,7 @@ def overfit_probe(
         dropout=dropout,
     )
     params = init_params(config, seed)
-    adam = AdamState.init(params)
+    adam = AdamState.init(flat_of(params))
     chunks = encode_document(doc, vocab)
     eval_batches = make_batches(chunks, batch_size, seed=None)
     dec_history: list[float] = []

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from hebdot.network import (
     VersionMismatch,
     compute_loss,
     effective_targets,
+    flat_of,
     forward,
     gradient_check,
     init_params,
@@ -28,11 +31,13 @@ from hebdot.network import (
     make_dropout_masks,
     make_synthetic_batch,
     masked_loss,
+    param_layout,
     param_shapes,
     save_checkpoint,
 )
 from hebdot.codec import DAGESH_CAPABLE, NIQQUD_CAPABLE
 from hebdot.corpus import SPLITS, Vocabulary, encode_document, load_corpus, make_batches
+from hebdot.trainer import AdamState, adam_step
 from conftest import checkpoint_fields
 from network_oracle import reference_forward
 
@@ -95,6 +100,29 @@ class TestInit:
         c = init_params(tiny_config(), seed=8)
         assert all(np.array_equal(a[k], b[k]) for k in a)
         assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+    def test_draws_in_blocks_equal_one_draw_per_array(self):
+        # fan-ins of 100 and 80 rows take two blocks each
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=100, hidden_dim=40)
+        params = init_params(config, seed=4)
+        rng = np.random.Generator(np.random.PCG64(4))
+        for name, shape in param_shapes(config).items():
+            if len(shape) == 2:
+                limit = np.sqrt(6.0 / sum(shape))
+                want = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+                assert params[name].tobytes() == want.tobytes(), name
+
+    def test_init_holds_little_besides_the_weights(self):
+        # numpy reports its buffers to tracemalloc; drawing a whole array at
+        # once needs a float64 copy of it, 1.36x the weights here
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=128, hidden_dim=128)
+        tracemalloc.start()
+        try:
+            params = init_params(config, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.12 * flat_of(params).nbytes
 
 
 def manual_lstm_step(x, h_prev, c_prev, Wx, Wh, b, H):
@@ -628,6 +656,40 @@ class TestCheckpoint:
         spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in again.params.values())
         assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("cut", [None, 0.5], ids=["whole", "truncated"])
+    def test_load_from_a_pipe(self, tmp_path, cut):
+        # a pipe's size reads 0, so the loader must not take it from fstat
+        path = tmp_path / "m.nkdm"
+        self._save(path)
+        blob = path.read_bytes()
+        if cut:
+            blob = blob[: int(len(blob) * cut)]
+        r, w = os.pipe()
+
+        def feed():
+            with os.fdopen(w, "wb") as f:
+                f.write(blob)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            if cut:
+                with pytest.raises(CorruptCheckpoint, match="truncated"):
+                    load_checkpoint(f"/dev/fd/{r}")
+                return
+            piped = load_checkpoint(f"/dev/fd/{r}")
+        finally:
+            os.close(r)  # a writer still blocked gets EPIPE instead of hanging
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+        regular = load_checkpoint(path)
+        assert piped.config == regular.config and piped.meta == regular.meta
+        assert list(piped.params) == list(regular.params)
+        for name, arr in regular.params.items():
+            assert piped.params[name].dtype == arr.dtype
+            assert piped.params[name].tobytes() == arr.tobytes(), name
+
     def test_save_is_reproducible(self, tmp_path):
         p1, p2 = tmp_path / "a.nkdm", tmp_path / "b.nkdm"
         self._save(p1)
@@ -764,3 +826,61 @@ class TestCheckpoint:
         path.write_bytes(blob[:at] + b"proj_W" + blob[at + 6 :])
         with pytest.raises(CorruptCheckpoint, match="repeated"):
             load_checkpoint(path)
+
+
+class TestParamLayout:
+    """Parameters, loaded weights and gradients are views of one buffer
+    each, laid out by :func:`param_layout`."""
+
+    # hidden 5: several arrays are not a multiple of 4 long, so padding shows
+    CONFIG = ModelConfig(vocab_size=Vocabulary().size, embed_dim=6, hidden_dim=5)
+
+    def views_and_padding(self, tmp_path):
+        config = self.CONFIG
+        params = init_params(config, seed=2)
+        path = tmp_path / "m.nkdm"
+        save_checkpoint(path, params, config, Vocabulary())
+        loaded = load_checkpoint(path).params
+        _, grads = loss_and_grads(params, config, *make_synthetic_batch(config, 3, 7, seed=1))
+        spans, size = param_layout(config)
+        padding = np.ones(size, bool)
+        for span in spans.values():
+            padding[span] = False
+        assert padding.any()
+        file_order = [
+            field[: -len(" data")]
+            for field, _, _ in checkpoint_fields(path.read_bytes())
+            if field.endswith(" data")
+        ]
+        return params, loaded, grads, padding, file_order
+
+    def test_one_layout_everywhere(self, tmp_path):
+        params, loaded, grads, _, file_order = self.views_and_padding(tmp_path)
+        offsets = []
+        for views in (params, loaded, grads):
+            flat = flat_of(views)
+            assert flat.shape == (param_layout(self.CONFIG)[1],)
+            assert flat.dtype == np.float32 and flat.ctypes.data % 16 == 0
+            assert {k: v.shape for k, v in views.items()} == param_shapes(self.CONFIG)
+            offsets.append({k: v.ctypes.data - flat.ctypes.data for k, v in views.items()})
+        assert offsets[0] == offsets[1] == offsets[2]
+        assert sorted(offsets[0], key=offsets[0].get) == file_order
+        assert all(at % 16 == 0 for at in offsets[0].values())
+
+    def test_padding_stays_zero(self, tmp_path):
+        params, _, grads, padding, _ = self.views_and_padding(tmp_path)
+        flat, flat_grads = flat_of(params), flat_of(grads)
+        before = flat.copy()
+        assert not flat[padding].any() and not flat_grads[padding].any()
+        state = AdamState.init(flat)
+        adam_step(flat, flat_grads, state, lr=1e-2)
+        assert not np.array_equal(flat, before)
+        for buffer in (flat, flat_grads, state.m, state.v):
+            assert not buffer[padding].any()
+
+    def test_separate_arrays_are_refused(self):
+        params = init_params(self.CONFIG, seed=2)
+        with pytest.raises(ValueError, match="one parameter buffer"):
+            flat_of({k: v.copy() for k, v in params.items()})
+        with pytest.raises(ValueError, match="one parameter buffer"):
+            flat_of({**params, "proj_b": params["proj_b"].copy()})

@@ -7,6 +7,7 @@ from hebdot.corpus import Vocabulary, encode_document, load_corpus, make_batches
 from hebdot.network import (
     ModelConfig,
     NonFiniteLoss,
+    flat_of,
     init_params,
     load_checkpoint,
 )
@@ -84,47 +85,93 @@ class TestLRSchedule:
                 LRSchedule(policy="exp_range", gamma=gamma, step_size_up=2)
 
 
+def per_array_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one array at a time, the reference the sliced flat update must
+    match bit for bit; ``state`` holds dicts ``m`` and ``v`` and a step ``t``."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 class TestAdam:
     def test_constant_unit_gradient_moves_by_lr(self):
         # with g == 1 always, bias correction makes each update exactly
         # lr / (1 + eps), independent of the step number
-        params = {"w": np.array([1.0], dtype=np.float64)}
-        grads = {"w": np.array([1.0], dtype=np.float64)}
+        params = np.array([1.0], dtype=np.float64)
+        grads = np.array([1.0], dtype=np.float64)
         state = AdamState.init(params)
         lr, eps = 0.01, 1e-8
         for k in range(1, 4):
             adam_step(params, grads, state, lr=lr, eps=eps)
             want = 1.0 - k * lr / (1.0 + eps)
-            assert params["w"][0] == pytest.approx(want, rel=1e-9)
+            assert params[0] == pytest.approx(want, rel=1e-9)
         assert state.t == 3
 
     def test_descends_against_gradient_sign(self):
-        params = {"w": np.array([0.0, 0.0], dtype=np.float32)}
-        grads = {"w": np.array([1.0, -1.0], dtype=np.float32)}
+        params = np.array([0.0, 0.0], dtype=np.float32)
+        grads = np.array([1.0, -1.0], dtype=np.float32)
         state = AdamState.init(params)
         adam_step(params, grads, state, lr=0.1)
-        assert params["w"][0] < 0 < params["w"][1]
+        assert params[0] < 0 < params[1]
 
     def test_in_place_and_dtype_preserving(self):
-        params = {"w": np.zeros((3, 2), dtype=np.float32)}
-        ref = params["w"]
+        params = np.zeros(6, dtype=np.float32)
+        view = params[2:4]
         state = AdamState.init(params)
-        adam_step(params, {"w": np.ones((3, 2), dtype=np.float32)}, state, lr=0.1)
-        assert params["w"] is ref
-        assert ref.dtype == np.float32
-        assert state.m["w"].shape == (3, 2)
+        adam_step(params, np.ones(6, dtype=np.float32), state, lr=0.1)
+        assert np.all(view < 0)  # the update landed in the buffer itself
+        assert params.dtype == np.float32
+        assert state.m.shape == state.v.shape == (6,)
 
     def test_two_runs_bitwise_equal(self):
         def run():
             rng = np.random.default_rng(5)
-            params = {"w": rng.normal(size=(4, 4)).astype(np.float32)}
+            params = rng.normal(size=16).astype(np.float32)
             state = AdamState.init(params)
             for i in range(10):
-                g = {"w": rng.normal(size=(4, 4)).astype(np.float32)}
+                g = rng.normal(size=16).astype(np.float32)
                 adam_step(params, g, state, lr=0.003)
-            return params["w"]
+            return params
 
         assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slices_match_per_array_formula(self, dtype):
+        # two slices and a few elements more, split into arrays whose
+        # edges fall inside and across the slices
+        n = 2 * trainer_mod._ADAM_SLICE + 5
+        cuts = [0, 7, trainer_mod._ADAM_SLICE - 3, trainer_mod._ADAM_SLICE + 9, n - 2, n]
+        spans = {i: slice(a, b) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))}
+        rng = np.random.default_rng(12)
+        flat = rng.normal(size=n).astype(dtype)
+        state = AdamState.init(flat)
+        ref = {i: flat[s].copy() for i, s in spans.items()}
+        ref_state = {
+            "t": 0,
+            "m": {i: np.zeros_like(p) for i, p in ref.items()},
+            "v": {i: np.zeros_like(p) for i, p in ref.items()},
+        }
+        for step in range(4):
+            grads = rng.normal(size=n).astype(dtype)
+            grads[rng.random(n) < 0.1] = 0.0
+            lr = 1e-3 * (step + 1)
+            adam_step(flat, grads, state, lr=lr)
+            per_array_adam_step(ref, {i: grads[s] for i, s in spans.items()}, ref_state, lr=lr)
+        assert state.t == ref_state["t"] == 4
+        assert flat.dtype == state.m.dtype == state.v.dtype == dtype
+        for i, s in spans.items():
+            assert flat[s].tobytes() == ref[i].tobytes(), i
+            assert state.m[s].tobytes() == ref_state["m"][i].tobytes(), i
+            assert state.v[s].tobytes() == ref_state["v"][i].tobytes(), i
 
 
 class TestParseConfig:
@@ -368,7 +415,7 @@ class TestPaperSize:
 
         def run():
             params = init_params(config, seed=7)
-            adam = AdamState.init(params)
+            adam = AdamState.init(flat_of(params))
             drop_rng = np.random.Generator(np.random.PCG64(8))
             losses = [
                 trainer_mod._train_step(params, config, adam, b, drop_rng, lr=1e-3)
@@ -381,6 +428,6 @@ class TestPaperSize:
         assert a1.t == a2.t == 2
         for name in p1:
             assert np.array_equal(p1[name], p2[name]), name
-            assert np.array_equal(a1.m[name], a2.m[name]), name
-            assert np.array_equal(a1.v[name], a2.v[name]), name
+        assert np.array_equal(a1.m, a2.m)
+        assert np.array_equal(a1.v, a2.v)
         assert not np.array_equal(p1["embedding"], init_params(config, seed=7)["embedding"])
