@@ -276,11 +276,14 @@ class _DirCache:
 
 @dataclass
 class ForwardCache:
+    """What :func:`loss_and_grads` reads back; it spends the cache, taking
+    out or setting to None each part as soon as its last reader is done."""
+
     rev_idx: np.ndarray  # (T, B) the backward direction's time flip
     directions: list[dict[str, _DirCache]]  # per layer, in each one's time order
-    inputs: list[np.ndarray]  # (T, B, 2H) input of each layer above 0, time order
-    feats: np.ndarray  # (B, T, 2H) top features, document order
-    proj: np.ndarray  # (B, T, 2H) projection output, document order
+    inputs: list[np.ndarray | None]  # (T, B, 2H) input of each layer above 0, time order
+    feats: np.ndarray | None  # (B, T, 2H) top features, document order
+    proj: np.ndarray | None  # (B, T, 2H) projection output, document order
     dropout_masks: list[np.ndarray] | None  # (B, T, 2H) per layer
 
 
@@ -378,6 +381,7 @@ def forward(
             else:
                 x = dropped[-1] if direction == "fwd" else dropped[-1][rev, cols]
                 gates = (x.reshape(T * B, -1) @ params[f"{prefix}_Wx"]).reshape(T, B, -1)
+                del x  # for the backward direction, a flipped copy
                 gates += params[f"{prefix}_b"]
             cache = _run_direction(gates, params[f"{prefix}_Wh"], keep_cache)
             del gates
@@ -390,17 +394,20 @@ def forward(
         if not np.all(np.isfinite(H_layer)):
             raise NonFiniteActivation(f"layer {layer} produced non-finite states")
         if dropout_masks is not None:
-            # the masks are drawn batch-major; read them through a view
-            D = H_layer * dropout_masks[layer].transpose(1, 0, 2) * inv_keep
-        else:
-            D = H_layer
+            # in place, in the order of ``H * mask * inv_keep``; the masks
+            # are drawn batch-major, so read them through a view
+            H_layer *= dropout_masks[layer].transpose(1, 0, 2)
+            H_layer *= inv_keep
         directions.append(per_dir)
-        dropped.append(D)
+        dropped.append(H_layer)
 
     top = dropped[-1] + dropped[-2] if config.residual else dropped[-1]
     # the projection and heads run in document order, on one copy
     feats = np.ascontiguousarray(top.transpose(1, 0, 2))
-    P = feats @ params["proj_W"] + params["proj_b"]
+    inputs = dropped[:-1] if keep_cache else []
+    del top, dropped, H_layer  # of the layers' outputs only the cached inputs stay
+    P = feats @ params["proj_W"]
+    P += params["proj_b"]
     logits = {k: P @ params[f"head_{k}_W"] + params[f"head_{k}_b"] for k in CATEGORIES}
     assert dtype == feats.dtype
     if not all(np.all(np.isfinite(v)) for v in logits.values()):
@@ -410,7 +417,7 @@ def forward(
     cache = ForwardCache(
         rev_idx=rev,
         directions=directions,
-        inputs=dropped[:-1],
+        inputs=inputs,
         feats=feats,
         proj=P,
         dropout_masks=dropout_masks,
@@ -523,6 +530,10 @@ def loss_and_grads(
 
     Masked positions contribute exactly zero: their rows are never gathered
     into the loss, so no rounding residue from them can reach a gradient.
+    The backward pass spends the forward cache as it goes, dropping each
+    array once its last reader is done and taking over gradient buffers
+    instead of summing them into zeros, so a step peaks at about the cached
+    forward's own size; ``params`` and ``dropout_masks`` are only read.
     """
     dtype = params["embedding"].dtype
     # allocated before the forward pass: taken after it, one buffer this
@@ -530,6 +541,7 @@ def loss_and_grads(
     grads = param_views(config, np.zeros(param_layout(config)[1], dtype))
     logits, cache = forward(params, config, ids, lengths, dropout_masks)
     loss, count, live = _head_nll(logits, golds, masks)
+    del logits
     if count == 0:
         return 0.0, grads
 
@@ -544,8 +556,10 @@ def loss_and_grads(
     for k, (m, g, soft) in live.items():
         soft[np.arange(g.size), g] -= 1.0
         dL[m.reshape(-1), head_cols[k]] = soft / count
+    del live
 
     gW_heads = cache.proj.reshape(B * T, H2).T @ dL
+    cache.proj = None
     gb_heads = dL.sum(axis=0)
     for k in CATEGORIES:
         grads[f"head_{k}_W"] += gW_heads[:, head_cols[k]]
@@ -555,32 +569,36 @@ def loss_and_grads(
     # the 2H-wide gradient of its output
     W_heads = np.concatenate([params[f"head_{k}_W"] for k in CATEGORIES], axis=1)
     grads["proj_W"] += (cache.feats.reshape(B * T, H2).T @ dL) @ W_heads.T
+    cache.feats = None
     grads["proj_b"] += gb_heads @ W_heads.T
     dfeats = (dL @ (params["proj_W"] @ W_heads).T).reshape(B, T, H2)
-    dfeats = dfeats.transpose(1, 0, 2)  # back to the stack's time-major layout
+    del dL
 
-    d_dropped = [np.zeros((T, B, H2), dtype) for _ in range(config.num_layers)]
-    d_dropped[-1] += dfeats
+    # each layer's output gradient, built lazily: the top layer takes over
+    # dfeats (back in the stack's time-major layout) and each lower one the
+    # input gradient of the layer above, plus dfeats with ``residual``
+    d_dropped: list[np.ndarray | None] = [None] * config.num_layers
+    d_dropped[-1] = dfeats.transpose(1, 0, 2)
     if config.residual:
-        d_dropped[-2] += dfeats
+        d_dropped[-2] = d_dropped[-1].copy()
+    del dfeats
 
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     cols = np.arange(B)[None, :]
     rev = cache.rev_idx
     H = config.hidden_dim
     for layer in range(config.num_layers - 1, -1, -1):
-        dD = d_dropped[layer]
+        dH, d_dropped[layer] = d_dropped[layer], None
         if cache.dropout_masks is not None:
-            dH = dD * cache.dropout_masks[layer].transpose(1, 0, 2) * inv_keep
-        else:
-            dH = dD
-        dU_total: np.ndarray | None = None
+            # in place, in the order of ``dD * mask * inv_keep``
+            dH *= cache.dropout_masks[layer].transpose(1, 0, 2)
+            dH *= inv_keep
         for di, direction in enumerate(_DIRECTIONS):
             prefix = f"lstm{layer}_{direction}"
             Wx = params[f"{prefix}_Wx"]
             dh_doc = dH[:, :, di * H : (di + 1) * H]
             dZ = _backprop_direction(
-                cache.directions[layer][direction],
+                cache.directions[layer].pop(direction),
                 dh_doc if direction == "fwd" else dh_doc[rev, cols],
                 params[f"{prefix}_Wh"],
                 grads[f"{prefix}_Wh"],
@@ -592,17 +610,30 @@ def loss_and_grads(
                 onehot = np.zeros((config.vocab_size, T * B), dtype)
                 onehot[at.reshape(-1), np.arange(T * B)] = 1.0
                 S = onehot @ dZ
+                del dZ, onehot
                 grads[f"{prefix}_Wx"] += params["embedding"].T @ S
                 grads["embedding"] += S @ Wx.T
             else:
-                u_doc = cache.inputs[layer - 1]
-                u = u_doc if direction == "fwd" else u_doc[rev, cols]
+                u = cache.inputs[layer - 1]
+                if direction == "bwd":
+                    u = u[rev, cols]
                 grads[f"{prefix}_Wx"] += u.reshape(T * B, -1).T @ dZ
-                dU_local = (dZ @ Wx.T).reshape(T, B, -1)
-                dU_doc = dU_local if direction == "fwd" else dU_local[rev, cols]
-                dU_total = dU_doc if dU_total is None else dU_total + dU_doc
+                del u
+                dU = (dZ @ Wx.T).reshape(T, B, -1)
+                del dZ
+                if direction == "fwd":
+                    dU_total = dU
+                else:
+                    dU_total += dU[rev, cols]
+                del dU
+        del dH
         if layer > 0:
-            d_dropped[layer - 1] += dU_total
+            cache.inputs[layer - 1] = None
+            if d_dropped[layer - 1] is None:
+                d_dropped[layer - 1] = dU_total
+            else:
+                d_dropped[layer - 1] += dU_total
+            del dU_total
     return loss, grads
 
 
