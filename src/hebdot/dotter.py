@@ -27,7 +27,9 @@ from .corpus import (
     encode_document,
     make_batches,
 )
-from .network import Checkpoint, ModelConfig, forward, layer0_tables, load_checkpoint
+from .network import (
+    Checkpoint, ModelConfig, forward, head_fold, layer0_tables, load_checkpoint
+)
 
 __all__ = ["INFERENCE_BATCH_SIZE", "Dotter", "decode_labels"]
 
@@ -59,8 +61,8 @@ INFERENCE_BATCH_SIZE = 16
 
 class Dotter:
     """Wraps a trained checkpoint for dotting strings and documents.  Layer
-    0's input term of every vocabulary id is computed once, at construction,
-    and each batch gathers from it."""
+    0's input term of every vocabulary id and the projection folded into the
+    heads are computed once, at construction, and every batch reads them."""
 
     def __init__(
         self, checkpoint: Checkpoint, batch_size: int = INFERENCE_BATCH_SIZE
@@ -69,6 +71,7 @@ class Dotter:
             raise ValueError("batch_size must be positive")
         self.params = checkpoint.params
         self.layer0 = layer0_tables(checkpoint.params)
+        self.fold = head_fold(checkpoint.params)
         self.config: ModelConfig = checkpoint.config
         self.vocab: Vocabulary = checkpoint.vocab
         self.batch_size = batch_size
@@ -121,6 +124,7 @@ class Dotter:
             batch.lengths,
             keep_cache=False,
             layer0=self.layer0,
+            fold=self.fold,
         )
         return decode_labels(logits, batch.masks)
 

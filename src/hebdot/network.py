@@ -22,10 +22,10 @@ gradient into the same buffer, keeps only ``dz @ Wh.T`` in the reverse
 loop, and computes the weight, bias and input gradients afterwards as
 whole-sequence GEMMs; at layer 0 it first sums the gate gradients per
 vocabulary id with a one-hot GEMM and works in that vocabulary space.  The
-projection and the heads run in document order, (B, T, ·), on one copy of
-the top features.  Nothing nonlinear sits between the projection and the
-heads, so the projection's gradients are taken through the heads' 16 logit
-columns instead of through the 2H-wide gradient of its output.
+top layer writes its output once, into the document-order (B, T, 2H)
+features.  Nothing nonlinear sits between the projection and the heads, so
+the logits are one product with their fold, :func:`head_fold`, and both
+weight gradients come from one (2H, 16) product ``feats.T @ dL``.
 
 Parameters, gradients and Adam's moments share the loader's layout,
 :func:`param_layout`: one flat buffer, arrays in sorted name order at
@@ -76,6 +76,7 @@ __all__ = [
     "init_params",
     "make_dropout_masks",
     "layer0_tables",
+    "head_fold",
     "forward",
     "effective_targets",
     "masked_loss",
@@ -96,6 +97,9 @@ HEAD_SIZES = {
     "dagesh": len(Dagesh),
     "sin": len(Sin) - 1,
 }
+# each head's columns when the heads sit side by side in CATEGORIES order
+_HEAD_ENDS = np.cumsum([HEAD_SIZES[k] for k in CATEGORIES]).tolist()
+_HEAD_COLUMNS = {k: slice(e - HEAD_SIZES[k], e) for k, e in zip(CATEGORIES, _HEAD_ENDS)}
 
 
 class ShapeMismatch(ValueError):
@@ -241,6 +245,7 @@ def make_dropout_masks(
     return [rng.random(shape) >= config.dropout for _ in range(config.num_layers)]
 
 
+@lru_cache(maxsize=8)
 def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Scale and shift rows that activate a whole i|f|g|o gate vector with
     one tanh: ``scale * tanh(scale * z) + shift`` is
@@ -251,6 +256,7 @@ def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     scale[2 * H : 3 * H] = 1.0
     shift = np.full(4 * H, 0.5, dtype)
     shift[2 * H : 3 * H] = 0.0
+    scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
 
 
@@ -283,7 +289,6 @@ class ForwardCache:
     directions: list[dict[str, _DirCache]]  # per layer, in each one's time order
     inputs: list[np.ndarray | None]  # (T, B, 2H) input of each layer above 0, time order
     feats: np.ndarray | None  # (B, T, 2H) top features, document order
-    proj: np.ndarray | None  # (B, T, 2H) projection output, document order
     dropout_masks: list[np.ndarray] | None  # (B, T, 2H) per layer
 
 
@@ -328,6 +333,18 @@ def layer0_tables(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return tables
 
 
+def head_fold(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The projection folded into the heads, which sit side by side in
+    ``W_heads`` and ``b_heads``: ``proj_W @ W_heads`` (2H, 16) and
+    ``proj_b @ W_heads + b_heads``, what :func:`forward`'s logits read."""
+    W_heads = np.concatenate([params[f"head_{k}_W"] for k in CATEGORIES], axis=1)
+    b_heads = np.concatenate([params[f"head_{k}_b"] for k in CATEGORIES])
+    # taken as its (16, 2H) transpose: BLAS then packs 16 rows, not 2H, and
+    # a loaded model keeps about 1 MB less of its buffers resident
+    W_fold = (W_heads.T @ params["proj_W"].T).T
+    return W_fold, params["proj_b"] @ W_heads + b_heads
+
+
 def forward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
@@ -336,17 +353,19 @@ def forward(
     dropout_masks: list[np.ndarray] | None = None,
     keep_cache: bool = True,
     layer0: dict[str, np.ndarray] | None = None,
+    fold: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], ForwardCache | None]:
-    """Score every position.  Returns per-category logits (B, T, n_labels)
-    and the cache that :func:`loss_and_grads` consumes.
+    """Score every position.  Returns per-category logits (B, T, n_labels),
+    views of one block, and the cache :func:`loss_and_grads` consumes.
 
     With ``keep_cache=False`` (inference) the cache is None: each
     direction keeps only a rolling cell state and drops its gate buffer as
     soon as its hidden states have been taken, which cuts peak memory to
     about a third.  The logits are the same either way, bit for bit.
     Layer 0 gathers from ``layer0``, the :func:`layer0_tables` of
-    ``params``; a caller whose weights stay fixed between calls (inference)
-    builds them once, and without them each call builds its own.  Raises
+    ``params``, and the logits come from ``fold``, its :func:`head_fold`; a
+    caller whose weights stay fixed between calls (inference) builds them
+    once, and without them each call builds its own.  Raises
     NonFiniteActivation if a state or a logit is not finite.
     """
     if ids.ndim != 2:
@@ -366,31 +385,39 @@ def forward(
     cols = np.arange(B)[None, :]
     if layer0 is None:
         layer0 = layer0_tables(params)
+    if fold is None:
+        fold = head_fold(params)
 
     H = config.hidden_dim
     directions: list[dict[str, _DirCache]] = []
-    dropped: list[np.ndarray] = []  # (T, B, 2H) concat(fwd, bwd) after dropout
+    # each layer's output is concat(fwd, bwd) after dropout; the top layer
+    # writes straight into the document-order features, through a view
+    lower: list[np.ndarray] = []  # (T, B, 2H) outputs of the layers below the top
+    feats = np.empty((B, T, 2 * H), dtype)
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     for layer in range(config.num_layers):
         per_dir: dict[str, _DirCache] = {}
-        H_layer = np.empty((T, B, 2 * H), dtype)
-        for di, direction in enumerate(_DIRECTIONS):
+        top = layer == config.num_layers - 1
+        H_layer = feats.transpose(1, 0, 2) if top else np.empty((T, B, 2 * H), dtype)
+        for direction in _DIRECTIONS:
             prefix = f"lstm{layer}_{direction}"
             if layer == 0:
                 gates = layer0[direction][ids.T if direction == "fwd" else ids.T[rev, cols]]
             else:
-                x = dropped[-1] if direction == "fwd" else dropped[-1][rev, cols]
+                x = lower[-1] if direction == "fwd" else lower[-1][rev, cols]
                 gates = (x.reshape(T * B, -1) @ params[f"{prefix}_Wx"]).reshape(T, B, -1)
                 del x  # for the backward direction, a flipped copy
                 gates += params[f"{prefix}_b"]
             cache = _run_direction(gates, params[f"{prefix}_Wh"], keep_cache)
             del gates
-            H_layer[:, :, di * H : (di + 1) * H] = (
-                cache.h if direction == "fwd" else cache.h[rev, cols]
-            )
+            if direction == "fwd":
+                H_layer[:, :, :H] = cache.h
+            else:  # the flip is its own inverse: scatter instead of a flipped copy
+                H_layer[rev, cols, H:] = cache.h
             if keep_cache:
                 per_dir[direction] = cache
             del cache  # unless kept, its buffers are freed here
+        layer0 = None  # read by layer 0 only: tables built here are freed
         if not np.all(np.isfinite(H_layer)):
             raise NonFiniteActivation(f"layer {layer} produced non-finite states")
         if dropout_masks is not None:
@@ -398,28 +425,24 @@ def forward(
             # are drawn batch-major, so read them through a view
             H_layer *= dropout_masks[layer].transpose(1, 0, 2)
             H_layer *= inv_keep
+        if not top:
+            lower.append(H_layer)
+        elif config.residual:
+            H_layer += lower[-1]
         directions.append(per_dir)
-        dropped.append(H_layer)
-
-    top = dropped[-1] + dropped[-2] if config.residual else dropped[-1]
-    # the projection and heads run in document order, on one copy
-    feats = np.ascontiguousarray(top.transpose(1, 0, 2))
-    inputs = dropped[:-1] if keep_cache else []
-    del top, dropped, H_layer  # of the layers' outputs only the cached inputs stay
-    P = feats @ params["proj_W"]
-    P += params["proj_b"]
-    logits = {k: P @ params[f"head_{k}_W"] + params[f"head_{k}_b"] for k in CATEGORIES}
-    assert dtype == feats.dtype
-    if not all(np.all(np.isfinite(v)) for v in logits.values()):
+    scores = (feats.reshape(B * T, 2 * H) @ fold[0]).reshape(B, T, -1)
+    scores += fold[1]
+    assert dtype == scores.dtype
+    if not np.all(np.isfinite(scores)):
         raise NonFiniteActivation("the heads produced non-finite logits")
+    logits = {k: scores[:, :, c] for k, c in _HEAD_COLUMNS.items()}
     if not keep_cache:
         return logits, None
     cache = ForwardCache(
         rev_idx=rev,
         directions=directions,
-        inputs=inputs,
+        inputs=lower,
         feats=feats,
-        proj=P,
         dropout_masks=dropout_masks,
     )
     return logits, cache
@@ -530,10 +553,13 @@ def loss_and_grads(
 
     Masked positions contribute exactly zero: their rows are never gathered
     into the loss, so no rounding residue from them can reach a gradient.
-    The backward pass spends the forward cache as it goes, dropping each
-    array once its last reader is done and taking over gradient buffers
-    instead of summing them into zeros, so a step peaks at about the cached
-    forward's own size; ``params`` and ``dropout_masks`` are only read.
+    The projection's and the heads' weight gradients both come from one
+    (2H, 16) product ``feats.T @ dL``, as the logits read the projection
+    only through :func:`head_fold`.  The backward pass spends the forward
+    cache as it goes, dropping each array once its last reader is done and
+    taking over gradient buffers instead of summing them into zeros, so a
+    step peaks at about the cached forward's own size; ``params`` and
+    ``dropout_masks`` are only read.
     """
     dtype = params["embedding"].dtype
     # allocated before the forward pass: taken after it, one buffer this
@@ -549,29 +575,24 @@ def loss_and_grads(
     H2 = 2 * config.hidden_dim
     # logit gradients of all heads side by side, one column block per head
     dL = np.zeros((B * T, sum(HEAD_SIZES.values())), dtype)
-    head_cols, start = {}, 0
-    for k in CATEGORIES:
-        head_cols[k] = slice(start, start + HEAD_SIZES[k])
-        start += HEAD_SIZES[k]
     for k, (m, g, soft) in live.items():
         soft[np.arange(g.size), g] -= 1.0
-        dL[m.reshape(-1), head_cols[k]] = soft / count
+        dL[m.reshape(-1), _HEAD_COLUMNS[k]] = soft / count
     del live
 
-    gW_heads = cache.proj.reshape(B * T, H2).T @ dL
-    cache.proj = None
-    gb_heads = dL.sum(axis=0)
-    for k in CATEGORIES:
-        grads[f"head_{k}_W"] += gW_heads[:, head_cols[k]]
-        grads[f"head_{k}_b"] += gb_heads[head_cols[k]]
-    # nothing nonlinear sits between projection and heads, so the
-    # projection's gradients go through the heads' few columns instead of
-    # the 2H-wide gradient of its output
+    # the heads' weight gradient is ``P.T @ dL`` with the projection's
+    # output ``P = feats @ proj_W + proj_b``, expanded so P is never formed
     W_heads = np.concatenate([params[f"head_{k}_W"] for k in CATEGORIES], axis=1)
-    grads["proj_W"] += (cache.feats.reshape(B * T, H2).T @ dL) @ W_heads.T
+    G = cache.feats.reshape(B * T, H2).T @ dL
     cache.feats = None
+    gb_heads = dL.sum(axis=0)
+    grads["proj_W"] += G @ W_heads.T
     grads["proj_b"] += gb_heads @ W_heads.T
-    dfeats = (dL @ (params["proj_W"] @ W_heads).T).reshape(B, T, H2)
+    gW_heads = params["proj_W"].T @ G + np.outer(params["proj_b"], gb_heads)
+    for k in CATEGORIES:
+        grads[f"head_{k}_W"] += gW_heads[:, _HEAD_COLUMNS[k]]
+        grads[f"head_{k}_b"] += gb_heads[_HEAD_COLUMNS[k]]
+    dfeats = (dL @ head_fold(params)[0].T).reshape(B, T, H2)
     del dL
 
     # each layer's output gradient, built lazily: the top layer takes over
