@@ -8,9 +8,11 @@ head.  Forward, loss and analytic gradients are implemented here directly;
 differences and is wired into both the test suite and the CLI.
 
 The LSTM stack is time-major: each direction fills a (T, B, 4H) gate
-buffer, gates laid out i|f|g|o, and keeps its cell and hidden states as
-(T, B, H), so every step of the recurrence reads and writes one contiguous
-(B, ·) block.  The input projection ``u @ Wx + b`` fills the gate buffer for
+buffer, gates laid out i|f|g|o, keeps one rolling (B, H) cell state and
+writes its hidden states as (T, B, H), so every step of the recurrence
+reads and writes one contiguous (B, ·) block.  Training caches only the
+activated gates; the backward pass rebuilds the states from them, bit for
+bit and without a GEMM.  The input projection ``u @ Wx + b`` fills the gate buffer for
 all time steps before the time loop.  Layer 0's input is one of a small,
 closed set of vocabulary ids, so :func:`layer0_tables` computes its input
 term for every id once and layer 0 gathers from those tables into time
@@ -274,34 +276,27 @@ def _reversal_index(lengths: np.ndarray, width: int) -> np.ndarray:
 
 
 @dataclass
-class _DirCache:
-    gates: np.ndarray  # (T, B, 4H) activated i|f|g|o; backward overwrites with dz
-    c: np.ndarray | None  # (T, B, H) cell states; None when not kept
-    h: np.ndarray  # (T, B, H) hidden states
-
-
-@dataclass
 class ForwardCache:
     """What :func:`loss_and_grads` reads back; it spends the cache, taking
     out or setting to None each part as soon as its last reader is done."""
 
     rev_idx: np.ndarray  # (T, B) the backward direction's time flip
-    directions: list[dict[str, _DirCache]]  # per layer, in each one's time order
+    gates: list[dict[str, np.ndarray]]  # per layer, (T, B, 4H) activated, own time order
     inputs: list[np.ndarray | None]  # (T, B, 2H) input of each layer above 0, time order
     feats: np.ndarray | None  # (B, T, 2H) top features, document order
     dropout_masks: list[np.ndarray] | None  # (B, T, 2H) per layer
 
 
-def _run_direction(gates: np.ndarray, Wh: np.ndarray, keep_cells: bool) -> _DirCache:
+def _run_direction(gates: np.ndarray, Wh: np.ndarray) -> np.ndarray:
     """The recurrence of one direction over its filled (T, B, 4H) gate
     buffer, which holds ``x @ Wx + b`` for every step in this direction's
-    time order; only ``h @ Wh`` is sequential.  Without ``keep_cells`` the
-    cell state is one rolling (B, H) row, updated in place."""
+    time order; only ``h @ Wh`` is sequential.  Activates the gates in
+    place and returns the (T, B, H) hidden states; the cell state is one
+    rolling (B, H) row, updated in place."""
     T, B, _ = gates.shape
     H = Wh.shape[0]
     dtype = gates.dtype
     scale, shift = _gate_affine(H, dtype)
-    c_s = np.empty((T, B, H), dtype) if keep_cells else None
     h_s = np.empty((T, B, H), dtype)
     c = np.zeros((B, H), dtype)
     for t in range(T):
@@ -312,14 +307,12 @@ def _run_direction(gates: np.ndarray, Wh: np.ndarray, keep_cells: bool) -> _DirC
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        c_t = c_s[t] if keep_cells else c
-        h_t = h_s[t]
-        np.multiply(z[:, H : 2 * H], c, out=c_t)
-        c_t += z[:, :H] * z[:, 2 * H : 3 * H]
-        np.tanh(c_t, out=h_t)
-        h_t *= z[:, 3 * H :]
-        c, h = c_t, h_t
-    return _DirCache(gates=gates, c=c_s, h=h_s)
+        h = h_s[t]
+        np.multiply(z[:, H : 2 * H], c, out=c)
+        c += z[:, :H] * z[:, 2 * H : 3 * H]
+        np.tanh(c, out=h)
+        h *= z[:, 3 * H :]
+    return h_s
 
 
 def layer0_tables(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -358,10 +351,11 @@ def forward(
     """Score every position.  Returns per-category logits (B, T, n_labels),
     views of one block, and the cache :func:`loss_and_grads` consumes.
 
-    With ``keep_cache=False`` (inference) the cache is None: each
-    direction keeps only a rolling cell state and drops its gate buffer as
-    soon as its hidden states have been taken, which cuts peak memory to
-    about a third.  The logits are the same either way, bit for bit.
+    The cache keeps only each direction's activated gates, from which
+    :func:`loss_and_grads` rebuilds the cell and hidden states.  With
+    ``keep_cache=False`` (inference) it is None, and each gate buffer goes
+    as soon as its hidden states have been taken.  The logits are the same
+    either way, bit for bit.
     Layer 0 gathers from ``layer0``, the :func:`layer0_tables` of
     ``params``, and the logits come from ``fold``, its :func:`head_fold`; a
     caller whose weights stay fixed between calls (inference) builds them
@@ -389,14 +383,14 @@ def forward(
         fold = head_fold(params)
 
     H = config.hidden_dim
-    directions: list[dict[str, _DirCache]] = []
+    kept: list[dict[str, np.ndarray]] = []  # each layer's gates, per direction
     # each layer's output is concat(fwd, bwd) after dropout; the top layer
     # writes straight into the document-order features, through a view
     lower: list[np.ndarray] = []  # (T, B, 2H) outputs of the layers below the top
     feats = np.empty((B, T, 2 * H), dtype)
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     for layer in range(config.num_layers):
-        per_dir: dict[str, _DirCache] = {}
+        per_dir: dict[str, np.ndarray] = {}
         top = layer == config.num_layers - 1
         H_layer = feats.transpose(1, 0, 2) if top else np.empty((T, B, 2 * H), dtype)
         for direction in _DIRECTIONS:
@@ -408,15 +402,15 @@ def forward(
                 gates = (x.reshape(T * B, -1) @ params[f"{prefix}_Wx"]).reshape(T, B, -1)
                 del x  # for the backward direction, a flipped copy
                 gates += params[f"{prefix}_b"]
-            cache = _run_direction(gates, params[f"{prefix}_Wh"], keep_cache)
-            del gates
+            h = _run_direction(gates, params[f"{prefix}_Wh"])
             if direction == "fwd":
-                H_layer[:, :, :H] = cache.h
+                H_layer[:, :, :H] = h
             else:  # the flip is its own inverse: scatter instead of a flipped copy
-                H_layer[rev, cols, H:] = cache.h
+                H_layer[rev, cols, H:] = h
+            del h
             if keep_cache:
-                per_dir[direction] = cache
-            del cache  # unless kept, its buffers are freed here
+                per_dir[direction] = gates
+            del gates  # unless kept, freed here
         layer0 = None  # read by layer 0 only: tables built here are freed
         if not np.all(np.isfinite(H_layer)):
             raise NonFiniteActivation(f"layer {layer} produced non-finite states")
@@ -429,7 +423,7 @@ def forward(
             lower.append(H_layer)
         elif config.residual:
             H_layer += lower[-1]
-        directions.append(per_dir)
+        kept.append(per_dir)
     scores = (feats.reshape(B * T, 2 * H) @ fold[0]).reshape(B, T, -1)
     scores += fold[1]
     assert dtype == scores.dtype
@@ -440,7 +434,7 @@ def forward(
         return logits, None
     cache = ForwardCache(
         rev_idx=rev,
-        directions=directions,
+        gates=kept,
         inputs=lower,
         feats=feats,
         dropout_masks=dropout_masks,
@@ -555,11 +549,12 @@ def loss_and_grads(
     into the loss, so no rounding residue from them can reach a gradient.
     The projection's and the heads' weight gradients both come from one
     (2H, 16) product ``feats.T @ dL``, as the logits read the projection
-    only through :func:`head_fold`.  The backward pass spends the forward
-    cache as it goes, dropping each array once its last reader is done and
-    taking over gradient buffers instead of summing them into zeros, so a
-    step peaks at about the cached forward's own size; ``params`` and
-    ``dropout_masks`` are only read.
+    only through :func:`head_fold`.  Each direction's states are rebuilt
+    from its cached gates while its backward pass runs.  The backward pass
+    spends the forward cache as it goes, dropping each array
+    once its last reader is done and taking over gradient buffers instead of
+    summing them into zeros, so a step peaks at about the cached forward's
+    own size; ``params`` and ``dropout_masks`` are only read.
     """
     dtype = params["embedding"].dtype
     # allocated before the forward pass: taken after it, one buffer this
@@ -619,7 +614,7 @@ def loss_and_grads(
             Wx = params[f"{prefix}_Wx"]
             dh_doc = dH[:, :, di * H : (di + 1) * H]
             dZ = _backprop_direction(
-                cache.directions[layer].pop(direction),
+                cache.gates[layer].pop(direction),
                 dh_doc if direction == "fwd" else dh_doc[rev, cols],
                 params[f"{prefix}_Wh"],
                 grads[f"{prefix}_Wh"],
@@ -659,36 +654,47 @@ def loss_and_grads(
 
 
 def _backprop_direction(
-    cache: _DirCache,
+    gates: np.ndarray,
     dh_seq: np.ndarray,
     Wh: np.ndarray,
     gWh: np.ndarray,
     gb: np.ndarray,
 ) -> np.ndarray:
-    """Reverse-time pass for one direction, accumulating into the recurrent
-    weight and bias gradient buffers.  ``dh_seq`` is (T, B, H) in this
-    direction's time order.  Returns the (T*B, 4H) gate pre-activation
-    gradient dZ, from which the caller takes the input weight and input
-    gradients.
+    """Reverse-time pass for one direction over its cached (T, B, 4H)
+    activated gates, accumulating into the recurrent weight and bias
+    gradient buffers.  ``dh_seq`` is (T, B, H) in this direction's time
+    order.  Returns the (T*B, 4H) gate pre-activation gradient dZ, from
+    which the caller takes the input weight and input gradients.
 
-    Each step's dz replaces that step's activated gates in ``cache.gates``,
-    so the cache is spent afterwards and dZ is a view of it.  Only
-    ``dz @ Wh.T`` is sequential; the recurrent weight gradient is one
-    whole-sequence GEMM after the loop.
+    The cell states are rebuilt first, in one sweep over the gates with
+    :func:`_run_direction`'s operations in its order, and the reverse loop
+    writes each step's hidden state ``tanh(c) * o``, as it takes the tanh
+    anyway: both match the forward's bit for bit.  Each step's dz replaces
+    that step's activated gates, so the cache is spent afterwards and dZ is
+    a view of it.  Only ``dz @ Wh.T`` is sequential; the recurrent weight
+    gradient is one whole-sequence GEMM after the loop.
     """
     T, B, H = dh_seq.shape
     dtype = dh_seq.dtype
-    gates = cache.gates
+    zeros = np.zeros((B, H), dtype)
+    c_s = np.empty((T, B, H), dtype)
+    c = zeros
+    for t in range(T):
+        z = gates[t]
+        np.multiply(z[:, H : 2 * H], c, out=c_s[t])
+        c_s[t] += z[:, :H] * z[:, 2 * H : 3 * H]
+        c = c_s[t]
+    h_s = np.empty((T, B, H), dtype)
     WhT = np.ascontiguousarray(Wh.T)  # faster per step than the transposed view
     dh_next = np.zeros((B, H), dtype)
     dc_next = np.zeros((B, H), dtype)
-    zeros = np.zeros((B, H), dtype)
     for t in range(T - 1, -1, -1):
         act = gates[t].copy()
         i, f = act[:, :H], act[:, H : 2 * H]
         g, o = act[:, 2 * H : 3 * H], act[:, 3 * H :]
-        c_prev = cache.c[t - 1] if t > 0 else zeros
-        tc = np.tanh(cache.c[t])
+        c_prev = c_s[t - 1] if t > 0 else zeros
+        tc = np.tanh(c_s[t])
+        np.multiply(tc, o, out=h_s[t])
         dh = dh_seq[t] + dh_next
         dc = dh * o * (1.0 - tc * tc) + dc_next
         dz = gates[t]
@@ -698,10 +704,11 @@ def _backprop_direction(
         np.multiply(dh * tc, o * (1.0 - o), out=dz[:, 3 * H :])
         dh_next = dz @ WhT
         dc_next = dc * f
+    del c_s
     dZ = gates.reshape(T * B, 4 * H)
     # step t's recurrent input is h[t-1]; h[-1] = 0 contributes nothing, so
     # the first step's B rows of dZ drop out
-    gWh += cache.h[:-1].reshape((T - 1) * B, H).T @ dZ[B:]
+    gWh += h_s[:-1].reshape((T - 1) * B, H).T @ dZ[B:]
     gb += dZ.sum(axis=0)
     return dZ
 
@@ -900,7 +907,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     float32 buffer of :func:`param_layout` (one allocation, which the C
     allocator keeps for a later load), so a load holds one copy of the
     weights; the arrays are :func:`param_views` of it, the padding between
-    them unset.  A file that is not a regular one, such as a pipe, is read
+    them zero.  A file that is not a regular one, such as a pipe, is read
     whole and parsed from memory.  Every length in the file is checked
     against the bytes left before it is read or allocated for.
     Raises VersionMismatch for a future format version and CorruptCheckpoint
@@ -965,6 +972,9 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
                 arr = flat[spans[name]]
                 pos += fits(arr.nbytes)
                 f.readinto(arr)
+            for span in spans.values():  # the padding after each array
+                if span.stop % 4:  # a slice assignment costs more than the test
+                    flat[span.stop : -(-span.stop // 4) * 4] = 0.0
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             if isinstance(exc, (CorruptCheckpoint, VersionMismatch)):
                 raise
