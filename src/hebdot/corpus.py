@@ -8,19 +8,22 @@ applies; marks on no letter, and marks a letter cannot carry (noisy scans
 have both), are removed with a warning.  Everything downstream works on
 :class:`Document` values, so loading order and repairs are decided here,
 once.  A document is columnar: its letter stream plus one int8 array of
-codec label values per category; encoding and scoring slice those arrays,
-and :func:`codec.insert_marks` renders them back into dotted text.
+codec label values per category; scoring slices those arrays, and
+:func:`codec.insert_marks` renders them back into dotted text.
 Letter masks, vocabulary ids and token spans are gathers from tables
-indexed by code point, each built once.
+indexed by code point, each built once.  Documents encode together into
+flat :class:`Chunks`, and :func:`make_batches` gathers a batch from them
+only when it is read.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +49,7 @@ __all__ = [
     "Document",
     "EmptyCorpus",
     "Vocabulary",
-    "Chunk",
+    "Chunks",
     "Batch",
     "SplitStats",
     "load_file",
@@ -243,26 +246,6 @@ class Vocabulary:
         return vocab
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """One encoded window of a document.
-
-    ``golds`` hold codec label values per category; ``masks`` are True
-    exactly where the letter admits a decision in that category.  ``offset``
-    locates the window in the source document's letter stream.
-    """
-
-    doc_id: str
-    offset: int
-    letter_ids: np.ndarray  # (L,) int32
-    golds: dict[str, np.ndarray]  # category -> (L,) int8
-    masks: dict[str, np.ndarray]  # category -> (L,) bool
-
-    @property
-    def length(self) -> int:
-        return int(self.letter_ids.shape[0])
-
-
 def _code_points(text: str) -> np.ndarray:
     """The code point of every character, lone surrogates included."""
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
@@ -308,36 +291,60 @@ def decision_masks(letters: str) -> dict[str, np.ndarray]:
     }
 
 
-def encode_document(
-    doc: Document, vocab: Vocabulary, max_len: int = MAX_CHUNK_LEN
-) -> list[Chunk]:
-    """Chunk and encode one document into model inputs and training targets;
-    the masks are :func:`decision_masks` of its letters."""
-    letters = doc.letters
-    ids = vocab.encode(letters)
-    masks = decision_masks(letters)
+@dataclass(frozen=True, eq=False)
+class Chunks:
+    """Documents encoded end to end: ``ids``, ``golds`` and ``masks`` hold
+    every letter's vocabulary id, codec label values per category and
+    :func:`decision_masks`.  Chunk i, a model-sized window, is the
+    ``lengths[i]`` letters from ``starts[i]``: a row, not an object."""
 
-    chunks = []
-    for start, end in chunk_spans(letters, max_len):
-        # The boundary space belongs to this window for partition purposes
-        # but carries no decisions; keeping it out of the model input makes
-        # predictions identical whether a document is fed whole or split at
-        # chunk boundaries (the split piece would lose the space to
-        # normalization anyway).
-        if letters[end - 1] == " ":
-            end -= 1
-        if end == start:
-            continue
-        chunks.append(
-            Chunk(
-                doc_id=doc.id,
-                offset=start,
-                letter_ids=ids[start:end],
-                golds={k: doc.labels[k][start:end] for k in CATEGORIES},
-                masks={k: masks[k][start:end] for k in CATEGORIES},
-            )
+    ids: np.ndarray  # (N,) int32
+    golds: dict[str, np.ndarray]  # category -> (N,) int8
+    masks: dict[str, np.ndarray]  # category -> (N,) bool
+    starts: np.ndarray  # (C,) int64
+    lengths: np.ndarray  # (C,) int32
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def take(self, rows) -> "Chunks":
+        """The chunks at ``rows``, in that order, over the same letters."""
+        return Chunks(
+            self.ids, self.golds, self.masks, self.starts[rows], self.lengths[rows]
         )
-    return chunks
+
+
+def encode_document(
+    docs: Sequence[Document], vocab: Vocabulary, max_len: int = MAX_CHUNK_LEN
+) -> Chunks:
+    """Chunk and encode documents into model inputs and training targets:
+    their letters end to end, and the :func:`chunk_spans` windows of each
+    document in order."""
+    letters = "".join(doc.letters for doc in docs)
+    offsets = accumulate((len(doc.letters) for doc in docs), initial=0)
+    # The boundary space belongs to its window for partition purposes but
+    # carries no decisions; keeping it out of the model input makes
+    # predictions identical whether a document is fed whole or split at
+    # chunk boundaries (the split piece would lose the space to
+    # normalization anyway).
+    spans = [
+        (at + start, at + end - (doc.letters[end - 1] == " "))
+        for doc, at in zip(docs, offsets)
+        for start, end in chunk_spans(doc.letters, max_len)
+    ]
+    starts, ends = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    kept = ends > starts
+    empty = np.zeros(0, dtype=np.int8)  # np.concatenate refuses an empty list
+    return Chunks(
+        ids=vocab.encode(letters),
+        golds={
+            k: np.concatenate([empty, *(doc.labels[k] for doc in docs)])
+            for k in CATEGORIES
+        },
+        masks=decision_masks(letters),
+        starts=starts[kept],
+        lengths=(ends - starts)[kept].astype(np.int32),
+    )
 
 
 @dataclass(frozen=True)
@@ -349,52 +356,50 @@ class Batch:
     golds: dict[str, np.ndarray]  # category -> (B, T) int8
     masks: dict[str, np.ndarray]  # category -> (B, T) bool
     lengths: np.ndarray  # (B,) int32
-    doc_ids: tuple[str, ...]
+    starts: np.ndarray  # (B,) int64, where each row starts in the Chunks
 
     @property
     def size(self) -> int:
         return int(self.letter_ids.shape[0])
 
 
-def _stack(chunks: Sequence[Chunk]) -> Batch:
-    width = max(c.length for c in chunks)
-    b = len(chunks)
-    ids = np.zeros((b, width), dtype=np.int32)
-    golds = {k: np.zeros((b, width), dtype=np.int8) for k in CATEGORIES}
-    masks = {k: np.zeros((b, width), dtype=bool) for k in CATEGORIES}
-    lengths = np.zeros(b, dtype=np.int32)
-    for i, c in enumerate(chunks):
-        ids[i, : c.length] = c.letter_ids
-        lengths[i] = c.length
-        for k in CATEGORIES:
-            golds[k][i, : c.length] = c.golds[k]
-            masks[k][i, : c.length] = c.masks[k]
-    return Batch(
-        letter_ids=ids,
-        golds=golds,
-        masks=masks,
-        lengths=lengths,
-        doc_ids=tuple(c.doc_id for c in chunks),
-    )
+@dataclass(frozen=True, eq=False)
+class _Batches(Sequence):
+    """Consecutive runs of ``batch_size`` chunks.  Batch i is gathered from
+    the flat arrays each time it is read, so no list of batches is held."""
+
+    chunks: Chunks
+    batch_size: int
+
+    def __len__(self) -> int:
+        return -(-len(self.chunks) // self.batch_size)
+
+    def __getitem__(self, i: int) -> Batch:
+        i = range(len(self))[i]  # IndexError past the end
+        rows = self.chunks.take(slice(i * self.batch_size, (i + 1) * self.batch_size))
+        col = np.arange(rows.lengths.max())
+        live = col < rows.lengths[:, None]
+        at = rows.starts[:, None] + col  # clipped where a padded cell runs past the end
+        return Batch(
+            letter_ids=rows.ids.take(at, mode="clip") * live,
+            golds={k: rows.golds[k].take(at, mode="clip") * live for k in CATEGORIES},
+            masks={k: rows.masks[k].take(at, mode="clip") & live for k in CATEGORIES},
+            lengths=rows.lengths,
+            starts=rows.starts,
+        )
 
 
 def make_batches(
-    chunks: Sequence[Chunk],
-    batch_size: int = 64,
-    seed: int | None = None,
-) -> list[Batch]:
-    """Group chunks into batches; a seed gives a deterministic shuffle,
-    None keeps the input order (inference)."""
+    chunks: Chunks, batch_size: int = 64, seed: int | None = None
+) -> Sequence[Batch]:
+    """Group chunks into batches, each built when it is read; a seed gives a
+    deterministic shuffle, None keeps the input order (inference)."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    order = list(range(len(chunks)))
     if seed is not None:
         rng = np.random.Generator(np.random.PCG64(seed))
-        order = list(rng.permutation(len(chunks)))
-    return [
-        _stack([chunks[j] for j in order[i : i + batch_size]])
-        for i in range(0, len(order), batch_size)
-    ]
+        chunks = chunks.take(rng.permutation(len(chunks)))
+    return _Batches(chunks, batch_size)
 
 
 @dataclass(frozen=True)

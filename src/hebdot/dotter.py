@@ -4,13 +4,15 @@ The raw input is never altered beyond diacritics: every non-mark codepoint
 passes through byte for byte, existing marks are dropped, and predicted
 marks are inserted after their letters.  :func:`codec.parse` reduces the
 text to the model alphabet and gives the raw offset after each letter, and
-:func:`codec.insert_marks` puts that letter's marks there.  Loaded
-documents are relabelled in shared, length-sorted batches by
-:meth:`Dotter.label_documents`.
+:func:`codec.insert_marks` puts that letter's marks there.
+:meth:`Dotter.label_documents` encodes loaded documents together, labels
+them in shared, length-sorted batches and scatters each batch back into
+one label array over all their letters.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -20,7 +22,6 @@ from .codec import _HEBREW_SET, insert_marks, parse, strip_diacritics
 from .corpus import (
     CATEGORIES,
     Batch,
-    Chunk,
     Document,
     Vocabulary,
     decision_masks,
@@ -85,29 +86,26 @@ class Dotter:
     def label_documents(self, docs: Sequence[Document]) -> list[Document]:
         """Re-dot loaded documents, keeping their ids; for evaluation runs.
 
-        The chunks of all documents are pooled and stably sorted by length,
-        so each batch holds rows of nearly equal width from any documents;
-        labels do not depend on which rows share a batch.  Letters outside
-        every chunk keep the null label.
+        The chunks of all documents are encoded together and stably sorted
+        by length, so each batch holds rows of nearly equal width from any
+        documents; labels do not depend on which rows share a batch.  Labels
+        land in one flat array per category over all the letters, split per
+        document at the end; letters outside every chunk keep the null label.
         """
-        rows: list[tuple[int, Chunk]] = []  # (document index, chunk)
-        for i, doc in enumerate(docs):
-            rows += [(i, chunk) for chunk in encode_document(doc, self.vocab)]
-        rows.sort(key=lambda row: row[1].length)  # stable: ties keep input order
-        labels = [
-            {k: np.zeros(len(doc.letters), dtype=np.int8) for k in CATEGORIES}
-            for doc in docs
-        ]
-        batches = make_batches([c for _, c in rows], self.batch_size, seed=None)
-        for start, batch in zip(range(0, len(rows), self.batch_size), batches):
+        chunks = encode_document(docs, self.vocab)
+        chunks = chunks.take(np.argsort(chunks.lengths, kind="stable"))
+        labels = np.zeros((len(CATEGORIES), len(chunks.ids)), dtype=np.int8)
+        for batch in make_batches(chunks, self.batch_size, seed=None):
             decoded = self._decode_batch(batch)
-            for r, (i, chunk) in enumerate(rows[start : start + batch.size]):
-                at, n = chunk.offset, chunk.length
-                for k in CATEGORIES:
-                    labels[i][k][at : at + n] = decoded[k][r, :n]
+            at = batch.starts[:, None] + np.arange(batch.letter_ids.shape[1])
+            for row, k in zip(labels, CATEGORIES):
+                live = batch.masks[k]
+                row[at[live]] = decoded[k][live]
+        bounds = pairwise(accumulate((len(doc.letters) for doc in docs), initial=0))
+        parts = (dict(zip(CATEGORIES, labels[:, a:b])) for a, b in bounds)
         return [
-            Document(doc.id, "dotted", doc.letters, lab)
-            for doc, lab in zip(docs, labels)
+            Document(doc.id, "dotted", doc.letters, part)
+            for doc, part in zip(docs, parts)
         ]
 
     def _label(self, letters: str) -> dict[str, np.ndarray]:

@@ -2,9 +2,10 @@
 
 Training first passes over the premodern split, then the modern one; the
 optimizer state carries across but the learning-rate cycle restarts per
-phase, sized to that phase's epoch length.  Every run is bitwise
-reproducible from the plan seed: shuffles and dropout masks derive from it,
-and nothing reads entropy elsewhere.
+phase, sized to that phase's epoch length.  A phase encodes its split
+once, and each step's batch is gathered only when the loop reaches it.
+Every run is bitwise reproducible from the plan seed: shuffles and
+dropout masks derive from it, and nothing reads entropy elsewhere.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .corpus import (
     Batch,
-    Chunk,
     Document,
     EmptyCorpus,
     Vocabulary,
@@ -230,11 +230,6 @@ def _train_step(
     return loss
 
 
-def _load_chunks(root: Path, split: str, vocab: Vocabulary) -> list[Chunk]:
-    docs = load_corpus(root, split)
-    return [c for d in docs for c in encode_document(d, vocab)]
-
-
 def train(
     root: Path | str,
     out_path: Path | str,
@@ -288,7 +283,7 @@ def train(
         for phase_idx, split, epochs in phases:
             if epochs == 0:
                 continue
-            chunks = _load_chunks(root, split, vocab)
+            chunks = encode_document(load_corpus(root, split), vocab)
             steps_per_epoch = math.ceil(len(chunks) / plan.batch_size)
             sched = LRSchedule(
                 base_lr=plan.base_lr,
@@ -437,7 +432,7 @@ def overfit_probe(
     )
     params = init_params(config, seed)
     adam = AdamState.init(flat_of(params))
-    chunks = encode_document(doc, vocab)
+    chunks = encode_document([doc], vocab)
     eval_batches = make_batches(chunks, batch_size, seed=None)
     dec_history: list[float] = []
     loss_history: list[float] = []

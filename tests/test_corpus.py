@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -321,63 +322,107 @@ class TestCodePointTables:
 
 
 class TestEncodeDocument:
+    @staticmethod
+    def _windows(chunks):
+        """Each chunk as the slice of the encoded letters it covers."""
+        return [slice(s, s + n) for s, n in zip(chunks.starts, chunks.lengths)]
+
     def test_masks_match_capability_predicates(self, bundled_corpus_root):
-        vocab = Vocabulary()
-        for doc in load_corpus(bundled_corpus_root, "modern"):
-            for chunk in encode_document(doc, vocab):
-                window = doc.letters[chunk.offset : chunk.offset + chunk.length]
-                for i, ch in enumerate(window):
-                    assert chunk.masks["niqqud"][i] == (ch in NIQQUD_CAPABLE)
-                    assert chunk.masks["dagesh"][i] == (ch in DAGESH_CAPABLE)
-                    assert chunk.masks["sin"][i] == (ch == "ש")
+        docs = load_corpus(bundled_corpus_root, "modern")
+        letters = "".join(d.letters for d in docs)
+        chunks = encode_document(docs, Vocabulary())
+        for at in self._windows(chunks):
+            for i, ch in enumerate(letters[at], start=at.start):
+                assert chunks.masks["niqqud"][i] == (ch in NIQQUD_CAPABLE)
+                assert chunks.masks["dagesh"][i] == (ch in DAGESH_CAPABLE)
+                assert chunks.masks["sin"][i] == (ch == "ש")
 
     def test_golds_match_chars(self, bundled_corpus_root):
         # the golds are the labels read back from the rendered text
-        vocab = Vocabulary()
         doc = load_corpus(bundled_corpus_root, "modern")[0]
         letters, labels, _ = parse(doc.text)
         assert letters == doc.letters
-        for chunk in encode_document(doc, vocab):
-            for i in range(chunk.length):
+        chunks = encode_document([doc], Vocabulary())
+        for at in self._windows(chunks):
+            for i in range(at.start, at.stop):
                 for k in CATEGORIES:
-                    assert chunk.golds[k][i] == labels[k][chunk.offset + i], k
+                    assert chunks.golds[k][i] == labels[k][i], k
 
     def test_windows_cover_all_decisions(self):
         # boundary spaces are trimmed from windows; letters never are
         doc = doc_from_text("אב גד הו" * 15, doc_id="x")
-        vocab = Vocabulary()
         covered = np.zeros(len(doc.letters), dtype=bool)
-        for chunk in encode_document(doc, vocab, max_len=10):
-            covered[chunk.offset : chunk.offset + chunk.length] = True
+        for at in self._windows(encode_document([doc], Vocabulary(), max_len=10)):
+            covered[at] = True
         uncovered = np.flatnonzero(~covered)
         assert all(doc.letters[i] == " " for i in uncovered)
 
     def test_chunk_lengths_bounded(self, bundled_corpus_root):
-        vocab = Vocabulary()
-        for doc in load_corpus(bundled_corpus_root, "premodern"):
-            for chunk in encode_document(doc, vocab):
-                assert 1 <= chunk.length <= MAX_CHUNK_LEN
+        docs = load_corpus(bundled_corpus_root, "premodern")
+        lengths = encode_document(docs, Vocabulary()).lengths
+        assert lengths.size and np.all((1 <= lengths) & (lengths <= MAX_CHUNK_LEN))
+
+    def test_windows_stay_in_their_document(self, bundled_corpus_root):
+        docs = load_corpus(bundled_corpus_root, "modern")
+        chunks = encode_document(docs, Vocabulary())
+        starts = np.cumsum([0] + [len(d.letters) for d in docs])
+        doc_of = np.searchsorted(starts, chunks.starts, side="right") - 1
+        last = chunks.starts + chunks.lengths - 1
+        assert np.array_equal(np.searchsorted(starts, last, side="right") - 1, doc_of)
+        for i, doc in enumerate(docs):
+            want = encode_document([doc], Vocabulary())
+            assert np.array_equal(chunks.starts[doc_of == i] - starts[i], want.starts)
+            assert np.array_equal(chunks.lengths[doc_of == i], want.lengths)
+
+    def test_memory_is_flat_arrays_only(self, bundled_corpus_root):
+        # int32 ids, 3 int8 golds and 3 bool masks per letter; an int64
+        # start and an int32 length per chunk; no Python object per chunk
+        docs = [d for split in SPLITS for d in load_corpus(bundled_corpus_root, split)]
+        chunks = encode_document(docs, Vocabulary())
+        letters = sum(len(d.letters) for d in docs)
+        arrays = []
+        for value in vars(chunks).values():
+            if isinstance(value, dict):
+                assert sorted(value) == sorted(CATEGORIES)
+                arrays += value.values()
+            else:
+                arrays.append(value)
+        assert all(isinstance(a, np.ndarray) and a.dtype != object for a in arrays)
+        assert all(a.base is None for a in arrays)  # nbytes is what each holds
+        assert len(chunks.ids) == letters
+        assert sum(a.nbytes for a in arrays) <= 10 * letters + 12 * len(chunks)
 
 
 class TestBatches:
     def _chunks(self, bundled_corpus_root):
-        vocab = Vocabulary()
-        docs = load_corpus(bundled_corpus_root, "modern")
-        return [c for d in docs for c in encode_document(d, vocab)]
+        return encode_document(load_corpus(bundled_corpus_root, "modern"), Vocabulary())
 
     @staticmethod
     def _keys(chunks):
-        """Each chunk as (document id, letter id bytes)."""
-        return [(c.doc_id, c.letter_ids.tobytes()) for c in chunks]
+        """Each chunk as (start, letter id bytes)."""
+        return [
+            (int(s), chunks.ids[s : s + n].tobytes())
+            for s, n in zip(chunks.starts, chunks.lengths)
+        ]
 
     @staticmethod
     def _rows(batches):
-        """Each batch row as (document id, letter id bytes of its length)."""
+        """Each batch row as (start, letter id bytes of its length)."""
         return [
-            (batch.doc_ids[i], batch.letter_ids[i, : batch.lengths[i]].tobytes())
+            (int(batch.starts[i]), batch.letter_ids[i, : batch.lengths[i]].tobytes())
             for batch in batches
             for i in range(batch.size)
         ]
+
+    @staticmethod
+    def _arrays(batch):
+        return (
+            batch.letter_ids,
+            *batch.golds.values(),
+            *batch.masks.values(),
+            batch.lengths,
+            batch.starts,
+        )
 
     def test_partition_exact(self, bundled_corpus_root):
         chunks = self._chunks(bundled_corpus_root)
@@ -390,7 +435,7 @@ class TestBatches:
         b = make_batches(chunks, batch_size=8, seed=3)
         for x, y in zip(a, b):
             assert np.array_equal(x.letter_ids, y.letter_ids)
-            assert x.doc_ids == y.doc_ids
+            assert np.array_equal(x.starts, y.starts)
 
     def test_different_seeds_differ(self, bundled_corpus_root):
         chunks = self._chunks(bundled_corpus_root)
@@ -415,9 +460,24 @@ class TestBatches:
                     assert np.all(batch.golds[k][i, n:] == 0)
             assert width == int(batch.lengths.max())
 
+    @pytest.mark.parametrize("batch_size, seed", [(7, 5), (16, None), (1, 3), (10**6, 0)])
+    def test_sized_and_reiterable(self, bundled_corpus_root, batch_size, seed):
+        # a sized sequence, read as often as asked: a traced run counts and
+        # reads the batches before the training loop does
+        chunks = self._chunks(bundled_corpus_root)
+        batches = make_batches(chunks, batch_size, seed=seed)
+        assert len(batches) == math.ceil(len(chunks) / batch_size)
+        first, again = list(batches), list(batches)
+        assert len(first) == len(again) == len(batches)
+        for x, y in zip(first, again):
+            for a, b in zip(self._arrays(x), self._arrays(y)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        with pytest.raises(IndexError):
+            batches[len(batches)]
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
-            make_batches([], batch_size=0)
+            make_batches(encode_document([], Vocabulary()), batch_size=0)
 
 
 class TestStats:

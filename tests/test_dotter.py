@@ -242,12 +242,15 @@ class TestLabelDocuments:
         assert all(b.size == 3 for b in batches[:-1])
         widths = np.concatenate([b.lengths for b in batches])
         assert np.all(np.diff(widths) >= 0)  # sorted by length
+        # a row's document is the one whose letters its start falls in
+        ends = np.cumsum([len(d.letters) for d in docs])
+        doc_of = [np.searchsorted(ends, b.starts, side="right") for b in batches]
         holding = defaultdict(set)
-        for i, b in enumerate(batches):
-            for doc_id in b.doc_ids:
-                holding[doc_id].add(i)
+        for i, rows in enumerate(doc_of):
+            for doc in rows:
+                holding[doc].add(i)
         assert any(len(held) > 1 for held in holding.values())
-        assert any(len(set(b.doc_ids)) > 1 for b in batches)
+        assert any(len(set(rows)) > 1 for rows in doc_of)
         assert_packed_matches_single_rows(ckpt, docs, packed, packing.gap)
 
     def test_document_without_chunks(self, random_dotter, bundled_corpus_root):
@@ -261,6 +264,11 @@ class TestLabelDocuments:
         want = random_dotter.label_documents([doc])[0].labels
         assert all(np.array_equal(out[1].labels[k], want[k]) for k in CATEGORIES)
         assert random_dotter.label_documents([]) == []
+        (alone,) = random_dotter.label_documents([space])
+        assert alone.letters == " "
+        assert all(alone.labels[k].tolist() == [0] for k in CATEGORIES)
+        assert random_dotter.dot("") == ""
+        assert random_dotter.dot(" ") == " "
 
 
 class TestPaperSize:
@@ -300,7 +308,7 @@ def smallest_top2_gap(ckpt, docs, batch_size):
     """Smallest margin between the two best logits over every live decision."""
     gap = np.inf
     for doc in docs:
-        chunks = encode_document(doc, ckpt.vocab)
+        chunks = encode_document([doc], ckpt.vocab)
         for batch in make_batches(chunks, batch_size, seed=None):
             logits, _ = forward(ckpt.params, ckpt.config, batch.letter_ids, batch.lengths)
             gap = min(gap, top2_gap(logits, batch.masks))

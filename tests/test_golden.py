@@ -1,9 +1,11 @@
-"""Golden values for loading the bundled corpus.
+"""Golden values for loading and batching the bundled corpus.
 
 The sha256 of every bundled document's letter stream (UTF-8) and of its
 label bytes (the int8 arrays of CATEGORIES, concatenated in that order),
-and of the stdout of ``hebdot stats --corpus tests/data/corpus``.  Loading
-is pure codec work, so these do not depend on BLAS or the platform.  The
+of the stdout of ``hebdot stats --corpus tests/data/corpus``, and of every
+training batch of each split (its arrays' dtypes, shapes and bytes, in
+batch order) at three batch sizes and shuffle seeds.  Loading and batching
+are pure integer work, so these do not depend on BLAS or the platform.  The
 values were taken from the per-character loader that ``codec.parse``
 replaced; a codec change that moves any of them changes what the model
 learns from and must say so.
@@ -12,7 +14,9 @@ learns from and must say so.
 import hashlib
 
 from hebdot.cli import main
-from hebdot.corpus import CATEGORIES, SPLITS, load_corpus
+from hebdot.corpus import (
+    CATEGORIES, SPLITS, Vocabulary, encode_document, load_corpus, make_batches
+)
 
 GOLDEN_DOCUMENTS = {
     "premodern/opening": ("7fcb57079801fb67a684dede4337c9bec74bcafb29daeb6a4e04490171f5af2c", "294851182bc6476df3677c9da2a22c25f7f242ddcc42c19844058c1ebf60767f"),
@@ -38,6 +42,22 @@ GOLDEN_DOCUMENTS = {
 
 GOLDEN_STATS = "c8c096ce43be0cb4ea0b69274f577e8264875ba34a509355b6a1cabffb6ff888"
 
+# sha256 of every batch of each bundled split, by split/batch_size/seed
+GOLDEN_BATCHES = {
+    "premodern/64/0": "25e814fecb0f57fa21090cc40819f98b0b49e8a273e65c495c6b6c8c12260cc4",
+    "premodern/7/5": "30454ce6c8101fef493c205897b20bbb82766b072902bf2698b82c9414fb0c7f",
+    "premodern/16/None": "476809ac8015bc7c68267997ae8f5e35b48c5a6040bd3ed993e7d0185e0424e6",
+    "modern/64/0": "b704f27255b4867ade9842f441ebee7980e3cc85482c857ef0d975940ec7d54c",
+    "modern/7/5": "d4059422f76db7f5e4c56e5aa58d00ee258985575eb4cf584c94464cce750b54",
+    "modern/16/None": "d4d3caaf0de9c8be29af9f09c3ada90da0af8cb3072f2e9a9910bbb237c0316d",
+    "validation/64/0": "5d37d9ee6819a9f2d64cae01a15ebf2a11b931691f99fa9b074a125b1b6b0394",
+    "validation/7/5": "4f3168ece77587adac280e3b6865c4658f2e864fae06521af6471183d137272d",
+    "validation/16/None": "66bd773272f803043ba1569708d7259953c60a6dd1560cab55a98dd925107567",
+    "test/64/0": "bc580992c5799831f46680725049fb005df665580186f14b47d4466598ccf9cb",
+    "test/7/5": "b2154d7deb229c0c55339224618824e9c5fc74de8f5bfd4b58f90bfed3e3054f",
+    "test/16/None": "21ad9640b8f67caac38bd13164d58101dea45a5102ea9065ee686f42e626274e",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -55,3 +75,35 @@ def test_bundled_documents(bundled_corpus_root):
 def test_stats_stdout(capsys, bundled_corpus_root):
     assert main(["stats", "--corpus", str(bundled_corpus_root)]) == 0
     assert _sha(capsys.readouterr().out.encode("utf-8")) == GOLDEN_STATS
+
+
+BATCHINGS = ((64, 0), (7, 5), (16, None))  # (batch_size, seed)
+
+
+def _split_chunks(root, split):
+    return encode_document(load_corpus(root, split), Vocabulary())
+
+
+def _batch_digest(batches) -> str:
+    h = hashlib.sha256()
+    for b in batches:
+        arrays = (
+            b.letter_ids,
+            *(b.golds[k] for k in CATEGORIES),
+            *(b.masks[k] for k in CATEGORIES),
+            b.lengths,
+        )
+        for a in arrays:
+            h.update(f"{a.dtype.str}{a.shape}".encode("ascii"))
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_bundled_batches(bundled_corpus_root):
+    got = {}
+    for split in SPLITS:
+        chunks = _split_chunks(bundled_corpus_root, split)
+        for batch_size, seed in BATCHINGS:
+            batches = make_batches(chunks, batch_size, seed=seed)
+            got[f"{split}/{batch_size}/{seed}"] = _batch_digest(batches)
+    assert got == GOLDEN_BATCHES

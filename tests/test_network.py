@@ -398,13 +398,9 @@ class TestAgainstReference:
 
     def test_sixteen_row_batches_match_reference(self, bundled_corpus_root):
         vocab = Vocabulary()
-        chunks = [
-            c
-            for split in SPLITS
-            for d in load_corpus(bundled_corpus_root, split)
-            for c in encode_document(d, vocab)
-        ]
-        chunks.sort(key=lambda c: c.length)
+        docs = [d for split in SPLITS for d in load_corpus(bundled_corpus_root, split)]
+        chunks = encode_document(docs, vocab)
+        chunks = chunks.take(np.argsort(chunks.lengths, kind="stable"))
         params, config = self.make_model(16, 12)
         for batch in make_batches(chunks, 16):
             self.assert_matches_reference(params, config, batch.letter_ids, batch.lengths)

@@ -265,16 +265,8 @@ class TestTrain:
         result = tiny_train(bundled_corpus_root, out)
 
         vocab = Vocabulary()
-        chunks_pre = [
-            c
-            for d in load_corpus(bundled_corpus_root, "premodern")
-            for c in encode_document(d, vocab)
-        ]
-        chunks_mod = [
-            c
-            for d in load_corpus(bundled_corpus_root, "modern")
-            for c in encode_document(d, vocab)
-        ]
+        chunks_pre = encode_document(load_corpus(bundled_corpus_root, "premodern"), vocab)
+        chunks_mod = encode_document(load_corpus(bundled_corpus_root, "modern"), vocab)
         want_steps = -(-len(chunks_pre) // 32) - (-len(chunks_mod) // 32)
         assert result.steps == want_steps
         assert [e.step for e in result.history] == list(range(1, want_steps + 1))
@@ -396,7 +388,7 @@ class TestProbe:
         config = ModelConfig(vocab_size=vocab.size, **TINY)
         params = init_params(config, seed=0)
         docs = load_corpus(bundled_corpus_root, "validation")
-        chunks = [c for d in docs for c in encode_document(d, vocab)]
+        chunks = encode_document(docs, vocab)
         acc = dec_accuracy(params, config, make_batches(chunks, 16, seed=None))
         assert 0.0 <= acc <= 1.0
 
@@ -408,7 +400,7 @@ class TestPaperSize:
         vocab = Vocabulary()
         config = ModelConfig(vocab_size=vocab.size, embed_dim=400, hidden_dim=400, dropout=0.1)
         doc = load_corpus(bundled_corpus_root, "modern")[0]
-        chunks = encode_document(doc, vocab, max_len=24)[:8]
+        chunks = encode_document([doc], vocab, max_len=24).take(slice(8))
         batches = make_batches(chunks, batch_size=4, seed=1)
         assert [b.size for b in batches] == [4, 4]
         assert all(b.letter_ids.shape[1] <= 24 for b in batches)
