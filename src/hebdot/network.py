@@ -12,8 +12,12 @@ buffer, gates laid out i|f|g|o, keeps one rolling (B, H) cell state and
 writes its hidden states as (T, B, H), so every step of the recurrence
 reads and writes one contiguous (B, ·) block.  Training caches only the
 activated gates; the backward pass rebuilds the states from them, bit for
-bit and without a GEMM.  The input projection ``u @ Wx + b`` fills the gate buffer for
-all time steps before the time loop.  Layer 0's input is one of a small,
+bit and without a GEMM, the hidden states into the spent cell states'
+buffer.  The backward direction runs in each row's reversed time order:
+:func:`_flip_rows` reverses arrays the passes own in place, row by row,
+so no reversed copy of a layer's input, output or gradient is made.  The
+input projection ``u @ Wx + b`` fills the gate buffer for all time steps
+before the time loop.  Layer 0's input is one of a small,
 closed set of vocabulary ids, so :func:`layer0_tables` computes its input
 term for every id once and layer 0 gathers from those tables into time
 order: a loaded model builds them once, training once per call.  The
@@ -36,7 +40,8 @@ read from a pipe as well as from a regular file.
 
 Everything is deterministic given the seeds: parameter init draws in a
 fixed order, and dropout masks are created outside the forward pass so the
-same masks can be replayed.
+same masks can be replayed.  They are kept bit-packed and unpacked one
+layer at a time, where they are applied.
 """
 
 from __future__ import annotations
@@ -240,11 +245,19 @@ def init_params(
 def make_dropout_masks(
     config: ModelConfig, batch: int, width: int, rng: np.random.Generator
 ) -> list[np.ndarray] | None:
-    """Per-layer keep masks for one training step; None when dropout is off."""
+    """Per-layer keep masks for one training step; None when dropout is off.
+
+    Each layer's mask is ``rng.random((batch, width, 2H)) >= dropout``,
+    bit-packed along the feature axis by ``np.packbits``: (batch, width,
+    ceil(2H / 8)) uint8, an eighth of the bool array.  The draws are the
+    same, so the random stream does not depend on the packing."""
     if config.dropout == 0.0:
         return None
     shape = (batch, width, 2 * config.hidden_dim)
-    return [rng.random(shape) >= config.dropout for _ in range(config.num_layers)]
+    return [
+        np.packbits(rng.random(shape) >= config.dropout, axis=-1)
+        for _ in range(config.num_layers)
+    ]
 
 
 @lru_cache(maxsize=8)
@@ -262,29 +275,38 @@ def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def _reversal_index(lengths: np.ndarray, width: int) -> np.ndarray:
-    """Per-row time flip that leaves padding slots in place, time-major.
+def _flip_rows(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Reverse the first ``lengths[b]`` time steps of each row b of the
+    time-major ``x`` in place, and return ``x``.  Padding slots stay where
+    they are, so the flip is its own inverse, and because real positions
+    stay a contiguous prefix, states at real positions never depend on
+    batch width.  Each row takes one copy of itself at most, never the
+    whole array."""
+    for b, n in enumerate(lengths.tolist()):
+        row = x[:n, b]
+        row[...] = row[::-1]  # numpy reads an overlapping source from a copy
+    return x
 
-    rev[t, b] = lengths[b]-1-t for real positions and t past them, so a
-    time-major ``x`` flips as ``x[rev, arange(B)]``.  The map is its own
-    inverse, and because real positions stay in a contiguous prefix, states
-    at real positions never depend on batch width.
-    """
-    t = np.arange(width)[:, None]
-    flipped = lengths[None, :] - 1 - t
-    return np.where(t < lengths[None, :], flipped, t)
+
+def _unpack_mask(packed: np.ndarray, width: int) -> np.ndarray:
+    """One layer's :func:`make_dropout_masks` mask as 0/1 uint8, (B, T,
+    ``width``), read time-major through a (T, B, ``width``) view."""
+    return np.unpackbits(packed, axis=-1, count=width).transpose(1, 0, 2)
 
 
 @dataclass
 class ForwardCache:
     """What :func:`loss_and_grads` reads back; it spends the cache, taking
-    out or setting to None each part as soon as its last reader is done."""
+    out or setting to None each part as soon as its last reader is done.
+    Arrays are in forward time order, except that each direction's gates
+    are in its own; the backward pass flips a layer's input in place once
+    the forward direction has read it.  The dropout masks are the caller's,
+    packed as :func:`make_dropout_masks` returns them."""
 
-    rev_idx: np.ndarray  # (T, B) the backward direction's time flip
     gates: list[dict[str, np.ndarray]]  # per layer, (T, B, 4H) activated, own time order
     inputs: list[np.ndarray | None]  # (T, B, 2H) input of each layer above 0, time order
     feats: np.ndarray | None  # (B, T, 2H) top features, document order
-    dropout_masks: list[np.ndarray] | None  # (B, T, 2H) per layer
+    dropout_masks: list[np.ndarray] | None  # (B, T, ceil(2H / 8)) packed bits per layer
 
 
 def _run_direction(gates: np.ndarray, Wh: np.ndarray) -> np.ndarray:
@@ -355,7 +377,8 @@ def forward(
     :func:`loss_and_grads` rebuilds the cell and hidden states.  With
     ``keep_cache=False`` (inference) it is None, and each gate buffer goes
     as soon as its hidden states have been taken.  The logits are the same
-    either way, bit for bit.
+    either way, bit for bit.  ``dropout_masks`` are packed as
+    :func:`make_dropout_masks` returns them.
     Layer 0 gathers from ``layer0``, the :func:`layer0_tables` of
     ``params``, and the logits come from ``fold``, its :func:`head_fold`; a
     caller whose weights stay fixed between calls (inference) builds them
@@ -375,8 +398,6 @@ def forward(
         raise ShapeMismatch("need one dropout mask per layer")
 
     dtype = params["embedding"].dtype
-    rev = _reversal_index(np.asarray(lengths, dtype=np.int64), T)
-    cols = np.arange(B)[None, :]
     if layer0 is None:
         layer0 = layer0_tables(params)
     if fold is None:
@@ -393,20 +414,22 @@ def forward(
         per_dir: dict[str, np.ndarray] = {}
         top = layer == config.num_layers - 1
         H_layer = feats.transpose(1, 0, 2) if top else np.empty((T, B, 2 * H), dtype)
-        for direction in _DIRECTIONS:
+        for di, direction in enumerate(_DIRECTIONS):
             prefix = f"lstm{layer}_{direction}"
+            flip = direction == "bwd"
             if layer == 0:
-                gates = layer0[direction][ids.T if direction == "fwd" else ids.T[rev, cols]]
+                gates = layer0[direction][_flip_rows(ids.T.copy(), lengths) if flip else ids.T]
             else:
-                x = lower[-1] if direction == "fwd" else lower[-1][rev, cols]
+                # the backward direction reads the layer below flipped in
+                # place for its GEMM, and flipped back for the next reader
+                x = _flip_rows(lower[-1], lengths) if flip else lower[-1]
                 gates = (x.reshape(T * B, -1) @ params[f"{prefix}_Wx"]).reshape(T, B, -1)
-                del x  # for the backward direction, a flipped copy
+                if flip:
+                    _flip_rows(x, lengths)
+                del x
                 gates += params[f"{prefix}_b"]
             h = _run_direction(gates, params[f"{prefix}_Wh"])
-            if direction == "fwd":
-                H_layer[:, :, :H] = h
-            else:  # the flip is its own inverse: scatter instead of a flipped copy
-                H_layer[rev, cols, H:] = h
+            H_layer[:, :, di * H : (di + 1) * H] = _flip_rows(h, lengths) if flip else h
             del h
             if keep_cache:
                 per_dir[direction] = gates
@@ -415,9 +438,9 @@ def forward(
         if not np.all(np.isfinite(H_layer)):
             raise NonFiniteActivation(f"layer {layer} produced non-finite states")
         if dropout_masks is not None:
-            # in place, in the order of ``H * mask * inv_keep``; the masks
-            # are drawn batch-major, so read them through a view
-            H_layer *= dropout_masks[layer].transpose(1, 0, 2)
+            # in place, in the order of ``H * mask * inv_keep``; one
+            # layer's mask is unpacked at a time, for this product only
+            H_layer *= _unpack_mask(dropout_masks[layer], 2 * H)
             H_layer *= inv_keep
         if not top:
             lower.append(H_layer)
@@ -433,7 +456,6 @@ def forward(
     if not keep_cache:
         return logits, None
     cache = ForwardCache(
-        rev_idx=rev,
         gates=kept,
         inputs=lower,
         feats=feats,
@@ -600,29 +622,32 @@ def loss_and_grads(
     del dfeats
 
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
-    cols = np.arange(B)[None, :]
-    rev = cache.rev_idx
     H = config.hidden_dim
     for layer in range(config.num_layers - 1, -1, -1):
         dH, d_dropped[layer] = d_dropped[layer], None
         if cache.dropout_masks is not None:
             # in place, in the order of ``dD * mask * inv_keep``
-            dH *= cache.dropout_masks[layer].transpose(1, 0, 2)
+            dH *= _unpack_mask(cache.dropout_masks[layer], H2)
             dH *= inv_keep
         for di, direction in enumerate(_DIRECTIONS):
             prefix = f"lstm{layer}_{direction}"
             Wx = params[f"{prefix}_Wx"]
-            dh_doc = dH[:, :, di * H : (di + 1) * H]
+            # the backward direction works in its own time order: it flips
+            # in place its half of dH, its input and its input gradient,
+            # each of which it is the last to read
+            flip = direction == "bwd"
+            dh = dH[:, :, di * H : (di + 1) * H]
             dZ = _backprop_direction(
                 cache.gates[layer].pop(direction),
-                dh_doc if direction == "fwd" else dh_doc[rev, cols],
+                _flip_rows(dh, lengths) if flip else dh,
                 params[f"{prefix}_Wh"],
                 grads[f"{prefix}_Wh"],
                 grads[f"{prefix}_b"],
             )
+            del dh
             if layer == 0:
                 # sum dZ per vocabulary id, then work in vocabulary space
-                at = ids.T if direction == "fwd" else ids.T[rev, cols]
+                at = _flip_rows(ids.T.copy(), lengths) if flip else ids.T
                 onehot = np.zeros((config.vocab_size, T * B), dtype)
                 onehot[at.reshape(-1), np.arange(T * B)] = 1.0
                 S = onehot @ dZ
@@ -631,16 +656,16 @@ def loss_and_grads(
                 grads["embedding"] += S @ Wx.T
             else:
                 u = cache.inputs[layer - 1]
-                if direction == "bwd":
-                    u = u[rev, cols]
+                if flip:
+                    _flip_rows(u, lengths)
                 grads[f"{prefix}_Wx"] += u.reshape(T * B, -1).T @ dZ
                 del u
                 dU = (dZ @ Wx.T).reshape(T, B, -1)
                 del dZ
-                if direction == "fwd":
-                    dU_total = dU
+                if flip:
+                    dU_total += _flip_rows(dU, lengths)
                 else:
-                    dU_total += dU[rev, cols]
+                    dU_total = dU
                 del dU
         del dH
         if layer > 0:
@@ -669,10 +694,13 @@ def _backprop_direction(
     The cell states are rebuilt first, in one sweep over the gates with
     :func:`_run_direction`'s operations in its order, and the reverse loop
     writes each step's hidden state ``tanh(c) * o``, as it takes the tanh
-    anyway: both match the forward's bit for bit.  Each step's dz replaces
-    that step's activated gates, so the cache is spent afterwards and dZ is
-    a view of it.  Only ``dz @ Wh.T`` is sequential; the recurrent weight
-    gradient is one whole-sequence GEMM after the loop.
+    anyway: both match the forward's bit for bit.  Step t's hidden state
+    goes into cell-state slot t once the step has taken that tanh; step
+    t + 1 has read the slot already, so one (T, B, H) buffer holds both.
+    Each step's dz replaces that step's activated gates, so the cache is
+    spent afterwards and dZ is a view of it.  Only ``dz @ Wh.T`` is
+    sequential; the recurrent weight gradient is one whole-sequence GEMM
+    after the loop.
     """
     T, B, H = dh_seq.shape
     dtype = dh_seq.dtype
@@ -684,7 +712,7 @@ def _backprop_direction(
         np.multiply(z[:, H : 2 * H], c, out=c_s[t])
         c_s[t] += z[:, :H] * z[:, 2 * H : 3 * H]
         c = c_s[t]
-    h_s = np.empty((T, B, H), dtype)
+    h_s = c_s  # one buffer: slot t turns from c[t] into h[t] at step t
     WhT = np.ascontiguousarray(Wh.T)  # faster per step than the transposed view
     dh_next = np.zeros((B, H), dtype)
     dc_next = np.zeros((B, H), dtype)
@@ -694,7 +722,7 @@ def _backprop_direction(
         g, o = act[:, 2 * H : 3 * H], act[:, 3 * H :]
         c_prev = c_s[t - 1] if t > 0 else zeros
         tc = np.tanh(c_s[t])
-        np.multiply(tc, o, out=h_s[t])
+        np.multiply(tc, o, out=h_s[t])  # c[t]'s last reader was the tanh
         dh = dh_seq[t] + dh_next
         dc = dh * o * (1.0 - tc * tc) + dc_next
         dz = gates[t]
@@ -704,7 +732,6 @@ def _backprop_direction(
         np.multiply(dh * tc, o * (1.0 - o), out=dz[:, 3 * H :])
         dh_next = dz @ WhT
         dc_next = dc * f
-    del c_s
     dZ = gates.reshape(T * B, 4 * H)
     # step t's recurrent input is h[t-1]; h[-1] = 0 contributes nothing, so
     # the first step's B rows of dZ drop out
