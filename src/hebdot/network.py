@@ -422,11 +422,12 @@ def forward(
             else:
                 # the backward direction reads the layer below flipped in
                 # place for its GEMM, and flipped back for the next reader
-                x = _flip_rows(lower[-1], lengths) if flip else lower[-1]
+                x = lower[-1]
+                if flip:
+                    _flip_rows(x, lengths)
                 gates = (x.reshape(T * B, -1) @ params[f"{prefix}_Wx"]).reshape(T, B, -1)
                 if flip:
                     _flip_rows(x, lengths)
-                del x
                 gates += params[f"{prefix}_b"]
             h = _run_direction(gates, params[f"{prefix}_Wh"])
             H_layer[:, :, di * H : (di + 1) * H] = _flip_rows(h, lengths) if flip else h
