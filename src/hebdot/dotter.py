@@ -108,12 +108,6 @@ class Dotter:
             for doc, part in zip(docs, parts)
         ]
 
-    def _label(self, letters: str) -> dict[str, np.ndarray]:
-        """Label arrays for a bare letter stream (no diacritics inside)."""
-        blank = {k: np.zeros(len(letters), dtype=np.int8) for k in CATEGORIES}
-        doc = Document("<input>", "input", letters, blank)
-        return self.label_documents([doc])[0].labels
-
     def _decode_batch(self, batch: Batch) -> dict[str, np.ndarray]:
         logits, _ = forward(
             self.params,
@@ -140,7 +134,9 @@ class Dotter:
         letters, _, ends = parse(stripped)
         if _HEBREW_SET.isdisjoint(letters):
             return stripped
-        labels = self._label(letters)
+        blank = {k: np.zeros(len(letters), dtype=np.int8) for k in CATEGORIES}
+        doc = Document("<input>", "input", letters, blank)
+        labels = self.label_documents([doc])[0].labels
         if keep_existing:
             # parse(text) reads the same letters; an input mark wins in its
             # category wherever the codec's own decision masks admit it.

@@ -253,11 +253,17 @@ def make_dropout_masks(
     same, so the random stream does not depend on the packing."""
     if config.dropout == 0.0:
         return None
-    shape = (batch, width, 2 * config.hidden_dim)
-    return [
-        np.packbits(rng.random(shape) >= config.dropout, axis=-1)
-        for _ in range(config.num_layers)
-    ]
+    F = 2 * config.hidden_dim
+    masks = [np.empty((batch, width, -(-F // 8)), np.uint8) for _ in range(config.num_layers)]
+    for packed in masks:
+        # at most 8 rows per draw, the same values as one draw: a whole
+        # float64 draw would be 64 times the size of the packed mask
+        for start in range(0, batch, 8):
+            rows = packed[start : start + 8]
+            rows[...] = np.packbits(
+                rng.random((len(rows), width, F)) >= config.dropout, axis=-1
+            )
+    return masks
 
 
 @lru_cache(maxsize=8)
@@ -300,13 +306,11 @@ class ForwardCache:
     out or setting to None each part as soon as its last reader is done.
     Arrays are in forward time order, except that each direction's gates
     are in its own; the backward pass flips a layer's input in place once
-    the forward direction has read it.  The dropout masks are the caller's,
-    packed as :func:`make_dropout_masks` returns them."""
+    the forward direction has read it."""
 
     gates: list[dict[str, np.ndarray]]  # per layer, (T, B, 4H) activated, own time order
     inputs: list[np.ndarray | None]  # (T, B, 2H) input of each layer above 0, time order
     feats: np.ndarray | None  # (B, T, 2H) top features, document order
-    dropout_masks: list[np.ndarray] | None  # (B, T, ceil(2H / 8)) packed bits per layer
 
 
 def _run_direction(gates: np.ndarray, Wh: np.ndarray) -> np.ndarray:
@@ -456,13 +460,7 @@ def forward(
     logits = {k: scores[:, :, c] for k, c in _HEAD_COLUMNS.items()}
     if not keep_cache:
         return logits, None
-    cache = ForwardCache(
-        gates=kept,
-        inputs=lower,
-        feats=feats,
-        dropout_masks=dropout_masks,
-    )
-    return logits, cache
+    return logits, ForwardCache(gates=kept, inputs=lower, feats=feats)
 
 
 def effective_targets(
@@ -552,7 +550,7 @@ def compute_loss(
     dropout_masks: list[np.ndarray] | None = None,
 ) -> float:
     """Forward pass followed by :func:`masked_loss`."""
-    logits, _ = forward(params, config, ids, lengths, dropout_masks)
+    logits, _ = forward(params, config, ids, lengths, dropout_masks, keep_cache=False)
     return masked_loss(logits, golds, masks)
 
 
@@ -583,7 +581,8 @@ def loss_and_grads(
     # allocated before the forward pass: taken after it, one buffer this
     # size finds no freed hole to reuse and a step's resident peak grows
     grads = param_views(config, np.zeros(param_layout(config)[1], dtype))
-    logits, cache = forward(params, config, ids, lengths, dropout_masks)
+    fold = head_fold(params)
+    logits, cache = forward(params, config, ids, lengths, dropout_masks, fold=fold)
     loss, count, live = _head_nll(logits, golds, masks)
     del logits
     if count == 0:
@@ -610,8 +609,8 @@ def loss_and_grads(
     for k in CATEGORIES:
         grads[f"head_{k}_W"] += gW_heads[:, _HEAD_COLUMNS[k]]
         grads[f"head_{k}_b"] += gb_heads[_HEAD_COLUMNS[k]]
-    dfeats = (dL @ head_fold(params)[0].T).reshape(B, T, H2)
-    del dL
+    dfeats = (dL @ fold[0].T).reshape(B, T, H2)
+    del dL, fold
 
     # each layer's output gradient, built lazily: the top layer takes over
     # dfeats (back in the stack's time-major layout) and each lower one the
@@ -626,9 +625,9 @@ def loss_and_grads(
     H = config.hidden_dim
     for layer in range(config.num_layers - 1, -1, -1):
         dH, d_dropped[layer] = d_dropped[layer], None
-        if cache.dropout_masks is not None:
+        if dropout_masks is not None:
             # in place, in the order of ``dD * mask * inv_keep``
-            dH *= _unpack_mask(cache.dropout_masks[layer], H2)
+            dH *= _unpack_mask(dropout_masks[layer], H2)
             dH *= inv_keep
         for di, direction in enumerate(_DIRECTIONS):
             prefix = f"lstm{layer}_{direction}"
@@ -852,9 +851,9 @@ def make_synthetic_batch(
         "sin": rng.random((batch, width)) < 0.2,
     }
     live = np.arange(width)[None, :] < lengths[:, None]
+    ids[~live] = 0
     for k in CATEGORIES:
         masks[k] &= live
-        ids[~live] = 0
         golds[k][~masks[k]] = 0
     return ids, lengths, golds, masks
 

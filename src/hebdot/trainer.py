@@ -14,12 +14,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .corpus import (
     Batch,
+    Chunks,
     Document,
     EmptyCorpus,
     Vocabulary,
@@ -27,8 +28,8 @@ from .corpus import (
     load_corpus,
     make_batches,
 )
-from .dotter import Dotter, decode_labels
-from .metrics import evaluate
+from .dotter import Dotter
+from .metrics import evaluate, score_document
 from .network import (
     Checkpoint,
     ModelConfig,
@@ -37,7 +38,6 @@ from .network import (
     check_setting,
     field_types,
     flat_of,
-    forward,
     init_params,
     loss_and_grads,
     make_dropout_masks,
@@ -53,7 +53,6 @@ __all__ = [
     "TrainResult",
     "train",
     "validation_wor",
-    "dec_accuracy",
     "ProbeResult",
     "overfit_probe",
     "parse_config_file",
@@ -230,6 +229,27 @@ def _train_step(
     return loss
 
 
+def _fit_epoch(
+    params: dict[str, np.ndarray],
+    config: ModelConfig,
+    adam: AdamState,
+    chunks: Chunks,
+    batch_size: int,
+    key: tuple[int, ...],
+    lr_at: Callable[[int], float],
+    **adam_kw: float,
+) -> Iterator[tuple[float, float]]:
+    """One shuffled pass over ``chunks``, yielding ``(lr, loss)`` after each
+    :func:`_train_step`.  The shuffle and the dropout masks derive from
+    ``key`` alone, and the pass's step i takes the learning rate
+    ``lr_at(i)``."""
+    batches = make_batches(chunks, batch_size, seed=_derived_seed(*key, 1))
+    drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((*key, 2))))
+    for i, batch in enumerate(batches):
+        lr = lr_at(i)
+        yield lr, _train_step(params, config, adam, batch, drop_rng, lr, **adam_kw)
+
+
 def train(
     root: Path | str,
     out_path: Path | str,
@@ -299,53 +319,43 @@ def train(
                 steps_per_epoch,
                 epochs,
             )
-            phase_step = 0
             for epoch in range(epochs):
-                batches = make_batches(
-                    chunks,
-                    plan.batch_size,
-                    seed=_derived_seed(plan.seed, phase_idx, epoch, 1),
+                steps = _fit_epoch(
+                    params, config, adam, chunks, plan.batch_size,
+                    key=(plan.seed, phase_idx, epoch),
+                    # the cycle runs on across the phase's epochs
+                    lr_at=lambda i: sched.lr_at(epoch * steps_per_epoch + i),
+                    beta1=plan.beta1, beta2=plan.beta2, eps=plan.eps,
                 )
-                drop_rng = np.random.Generator(
-                    np.random.PCG64(
-                        np.random.SeedSequence((plan.seed, phase_idx, epoch, 2))
+                try:
+                    for lr, loss in steps:
+                        global_step += 1
+                        result.steps = global_step
+                        entry = StepLog(global_step, lr, loss, split)
+                        result.history.append(entry)
+                        log_file.write(
+                            f"{entry.step}\t{entry.lr:.8g}\t{entry.loss:.6f}\t{split}\n"
+                        )
+                        if global_step % plan.log_every == 0 or global_step == 1:
+                            log.info(
+                                "step %d lr %.5f loss %.4f (%s)",
+                                global_step,
+                                lr,
+                                loss,
+                                split,
+                            )
+                        if (
+                            plan.checkpoint_every
+                            and global_step % plan.checkpoint_every == 0
+                        ):
+                            snapshot(out_path, phase=split, epoch=epoch)
+                except (NonFiniteActivation, NonFiniteLoss):
+                    log.error(
+                        "non-finite at step %d; aborting, the last saved "
+                        "checkpoint remains on disk",
+                        global_step,
                     )
-                )
-                for batch in batches:
-                    lr = sched.lr_at(phase_step)
-                    try:
-                        loss = _train_step(
-                            params, config, adam, batch, drop_rng, lr,
-                            beta1=plan.beta1, beta2=plan.beta2, eps=plan.eps,
-                        )
-                    except (NonFiniteActivation, NonFiniteLoss):
-                        log.error(
-                            "non-finite at step %d; aborting, the last saved "
-                            "checkpoint remains on disk",
-                            global_step,
-                        )
-                        raise
-                    global_step += 1
-                    phase_step += 1
-                    result.steps = global_step
-                    entry = StepLog(global_step, lr, loss, split)
-                    result.history.append(entry)
-                    log_file.write(
-                        f"{entry.step}\t{entry.lr:.8g}\t{entry.loss:.6f}\t{split}\n"
-                    )
-                    if global_step % plan.log_every == 0 or global_step == 1:
-                        log.info(
-                            "step %d lr %.5f loss %.4f (%s)",
-                            global_step,
-                            lr,
-                            loss,
-                            split,
-                        )
-                    if (
-                        plan.checkpoint_every
-                        and global_step % plan.checkpoint_every == 0
-                    ):
-                        snapshot(out_path, phase=split, epoch=epoch)
+                    raise
                 if val_docs is not None:
                     score = validation_wor(params, config, vocab, val_docs)
                     result.val_history.append((split, epoch, score))
@@ -380,30 +390,23 @@ def validation_wor(
     return evaluate(docs, dotter.label_documents(docs)).macro["wor"]
 
 
-def dec_accuracy(
-    params: dict[str, np.ndarray], config: ModelConfig, batches
-) -> float:
-    """Fraction of all decisions the current parameters get right."""
-    correct = 0
-    total = 0
-    for batch in batches:
-        logits, _ = forward(
-            params, config, batch.letter_ids, batch.lengths, keep_cache=False
-        )
-        labels = decode_labels(logits, batch.masks)
-        for k, m in batch.masks.items():
-            correct += int((labels[k][m] == batch.golds[k][m]).sum())
-            total += int(m.sum())
-    return correct / total if total else 0.0
-
-
 @dataclass(frozen=True)
 class ProbeResult:
-    reached: bool
-    epochs: int
-    final_dec: float
-    dec_history: tuple[float, ...]
-    loss_history: tuple[float, ...]
+    dec_history: tuple[float, ...]  # decision accuracy after each epoch
+    loss_history: tuple[float, ...]  # mean training loss of each epoch
+    target: float
+
+    @property
+    def epochs(self) -> int:
+        return len(self.dec_history)
+
+    @property
+    def final_dec(self) -> float:
+        return self.dec_history[-1] if self.dec_history else 0.0
+
+    @property
+    def reached(self) -> bool:
+        return bool(self.dec_history) and self.final_dec >= self.target
 
 
 def overfit_probe(
@@ -420,8 +423,9 @@ def overfit_probe(
     """Sanity check that the whole learning stack can memorize one document.
 
     Trains a small model on the document alone and measures decision
-    accuracy (inference mode) after every epoch, stopping early once the
-    target is reached.
+    accuracy (inference mode, through :class:`~hebdot.dotter.Dotter`)
+    after every epoch, stopping early once the target is reached.  A
+    document with no decisions scores 0.
     """
     vocab = Vocabulary()
     config = ModelConfig(
@@ -433,38 +437,19 @@ def overfit_probe(
     params = init_params(config, seed)
     adam = AdamState.init(flat_of(params))
     chunks = encode_document([doc], vocab)
-    eval_batches = make_batches(chunks, batch_size, seed=None)
     dec_history: list[float] = []
     loss_history: list[float] = []
     for epoch in range(max_epochs):
-        drop_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, epoch, 2)))
+        steps = _fit_epoch(
+            params, config, adam, chunks, batch_size, (seed, epoch), lambda i: lr
         )
-        epoch_losses = []
-        for batch in make_batches(
-            chunks, batch_size, seed=_derived_seed(seed, epoch, 1)
-        ):
-            epoch_losses.append(
-                _train_step(params, config, adam, batch, drop_rng, lr)
-            )
-        loss_history.append(float(np.mean(epoch_losses)))
-        acc = dec_accuracy(params, config, eval_batches)
-        dec_history.append(acc)
-        if acc >= target:
-            return ProbeResult(
-                reached=True,
-                epochs=epoch + 1,
-                final_dec=acc,
-                dec_history=tuple(dec_history),
-                loss_history=tuple(loss_history),
-            )
-    return ProbeResult(
-        reached=False,
-        epochs=max_epochs,
-        final_dec=dec_history[-1] if dec_history else 0.0,
-        dec_history=tuple(dec_history),
-        loss_history=tuple(loss_history),
-    )
+        loss_history.append(float(np.mean([loss for _, loss in steps])))
+        dotter = Dotter(Checkpoint(params, config, vocab, {}), batch_size)
+        dec = score_document(doc, dotter.label_documents([doc])[0]).dec
+        dec_history.append(dec.correct / dec.total if dec.total else 0.0)
+        if dec_history[-1] >= target:
+            break
+    return ProbeResult(tuple(dec_history), tuple(loss_history), target)
 
 
 def parse_config_file(path: Path | str) -> dict[str, object]:

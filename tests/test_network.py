@@ -185,19 +185,34 @@ class TestFlipRows:
 class TestDropoutMasks:
     @pytest.mark.parametrize("hidden", [3, 5, 8])
     def test_packed_bits_are_the_bool_draws(self, hidden):
-        # 2H = 6 and 10 leave the last byte of each packed row partial
+        # 2H = 6 and 10 leave the last byte of each packed row partial;
+        # 9 and 17 rows are drawn 8 at a time, the last block ragged
         config = tiny_config(hidden_dim=hidden, dropout=0.3, num_layers=3)
-        B, T, width = 4, 9, 2 * hidden
-        masks = make_dropout_masks(config, B, T, np.random.default_rng(12))
-        again = make_dropout_masks(config, B, T, np.random.default_rng(12))
-        assert [m.tobytes() for m in masks] == [m.tobytes() for m in again]
-        rng = np.random.default_rng(12)
-        assert len(masks) == 3
-        for m in masks:
-            assert m.dtype == np.uint8 and m.shape == (B, T, -(-width // 8))
-            want = rng.random((B, T, width)) >= 0.3
-            assert np.array_equal(np.unpackbits(m, axis=-1, count=width).view(bool), want)
-            assert not np.unpackbits(m, axis=-1)[:, :, width:].any()  # pad bits
+        T, width = 9, 2 * hidden
+        for B in (4, 9, 17):
+            masks = make_dropout_masks(config, B, T, np.random.default_rng(12))
+            again = make_dropout_masks(config, B, T, np.random.default_rng(12))
+            assert [m.tobytes() for m in masks] == [m.tobytes() for m in again]
+            rng = np.random.default_rng(12)
+            assert len(masks) == 3
+            for m in masks:
+                assert m.dtype == np.uint8 and m.shape == (B, T, -(-width // 8))
+                want = rng.random((B, T, width)) >= 0.3
+                assert np.array_equal(np.unpackbits(m, axis=-1, count=width).view(bool), want)
+                assert not np.unpackbits(m, axis=-1)[:, :, width:].any()  # pad bits
+
+    def test_paper_size_draw_holds_little_besides_the_masks(self):
+        # numpy reports its buffers to tracemalloc; a whole (64, 80, 800)
+        # float64 draw is 32.8 MB, one block of 8 rows 4.1 MB
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=400, hidden_dim=400)
+        tracemalloc.start()
+        try:
+            masks = make_dropout_masks(config, 64, 80, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * 80 * 800 * np.dtype(np.float64).itemsize
+        assert peak <= sum(m.nbytes for m in masks) + 1.5 * block
 
     def test_no_dropout_gives_none(self):
         assert make_dropout_masks(tiny_config(), 4, 9, np.random.default_rng(0)) is None

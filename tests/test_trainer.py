@@ -18,7 +18,6 @@ from hebdot.trainer import (
     LRSchedule,
     TrainPlan,
     adam_step,
-    dec_accuracy,
     overfit_probe,
     parse_config_file,
     train,
@@ -332,6 +331,22 @@ class TestTrain:
         assert result.val_history == []
         assert result.best_path is None
 
+    def test_lr_cycle_runs_on_across_epochs(self, bundled_corpus_root, tmp_path):
+        # a phase's second epoch takes up the cycle where the first left it
+        result = tiny_train(
+            bundled_corpus_root,
+            tmp_path / "m.nkdm",
+            premodern_epochs=0,
+            modern_epochs=2,
+            batch_size=16,
+        )
+        chunks = encode_document(load_corpus(bundled_corpus_root, "modern"), Vocabulary())
+        per_epoch = -(-len(chunks) // 16)
+        plan = TrainPlan()
+        sched = LRSchedule(plan.base_lr, plan.max_lr, step_size_up=per_epoch)
+        assert per_epoch > 1 and result.steps == 2 * per_epoch
+        assert [e.lr for e in result.history] == [sched.lr_at(i) for i in range(result.steps)]
+
     def test_vocab_size_mismatch_rejected(self, bundled_corpus_root, tmp_path):
         config = ModelConfig(vocab_size=10, **TINY)
         with pytest.raises(ValueError, match="vocab"):
@@ -384,14 +399,18 @@ class TestProbe:
         assert len(probe.loss_history) == probe.epochs
         assert probe.loss_history[-1] < probe.loss_history[0]
 
-    def test_dec_accuracy_bounds(self, bundled_corpus_root):
-        vocab = Vocabulary()
-        config = ModelConfig(vocab_size=vocab.size, **TINY)
-        params = init_params(config, seed=0)
-        docs = load_corpus(bundled_corpus_root, "validation")
-        chunks = encode_document(docs, vocab)
-        acc = dec_accuracy(params, config, make_batches(chunks, 16, seed=None))
-        assert 0.0 <= acc <= 1.0
+    def test_no_epochs_reaches_nothing(self):
+        probe = overfit_probe(doc_from_text("שָׁלוֹם"), embed_dim=8, hidden_dim=8, max_epochs=0)
+        assert probe.epochs == 0
+        assert probe.final_dec == 0.0
+        assert not probe.reached
+        assert probe.dec_history == probe.loss_history == ()
+
+    def test_document_without_decisions_scores_zero(self):
+        doc = doc_from_text('... "!?" - 12, (ab).')  # no Hebrew letter
+        probe = overfit_probe(doc, embed_dim=8, hidden_dim=8, max_epochs=2)
+        assert probe.dec_history == (0.0, 0.0)
+        assert probe.epochs == 2 and not probe.reached
 
 
 class TestPaperSize:
