@@ -173,7 +173,6 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
         dropout=args.dropout,
-        residual=args.residual,
     )
     ids, lengths, golds, masks = make_synthetic_batch(
         config, args.batch, args.width, seed=args.seed
@@ -214,12 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     p_train.add_argument("--config", help="key = value settings file")
     for name, cls in _SETTINGS.items():
-        flag = "--" + name.replace("_", "-")
-        kind = field_types(cls)[name]
-        if kind is bool:
-            p_train.add_argument(flag, action="store_const", const=True)
-        else:
-            p_train.add_argument(flag, type=kind)
+        p_train.add_argument("--" + name.replace("_", "-"), type=field_types(cls)[name])
     p_train.set_defaults(func=_cmd_train)
 
     p_dot = sub.add_parser("dot", help="add diacritics to plain text")
@@ -260,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--batch", type=int, default=2)
     p_gc.add_argument("--width", type=int, default=12)
     p_gc.add_argument("--dropout", type=float, default=0.1)
-    p_gc.add_argument("--residual", action="store_true")
     p_gc.add_argument("--samples", type=int, default=500)
     p_gc.add_argument("--tolerance", type=float, default=1e-4)
     p_gc.add_argument("--seed", type=int, default=0)

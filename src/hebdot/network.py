@@ -139,12 +139,9 @@ def field_types(cls: type) -> Mapping[str, type]:
 
 def check_setting(cls: type, name: str, value: object) -> None:
     """Raise ValueError unless ``value`` fits field ``name`` of ``cls``: int
-    fields take ints but not bools, float fields ints or floats, bool and
-    str fields only their own type."""
+    fields take ints but not bools, float fields ints or floats."""
     want = field_types(cls)[name]
-    if isinstance(value, bool) != (want is bool) or not isinstance(
-        value, (int, float) if want is float else want
-    ):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
         raise ValueError(f"{name} must be {want.__name__}, got {value!r}")
 
 
@@ -155,7 +152,6 @@ class ModelConfig:
     hidden_dim: int = 400
     num_layers: int = 2
     dropout: float = 0.1
-    residual: bool = False
 
     def __post_init__(self) -> None:
         for name in field_types(ModelConfig):
@@ -166,8 +162,6 @@ class ModelConfig:
             raise ValueError("model dimensions must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.residual and self.num_layers < 2:
-            raise ValueError("residual sums the top two layers; need num_layers >= 2")
 
 
 _DIRECTIONS = ("fwd", "bwd")
@@ -449,8 +443,6 @@ def forward(
             H_layer *= inv_keep
         if not top:
             lower.append(H_layer)
-        elif config.residual:
-            H_layer += lower[-1]
         kept.append(per_dir)
     scores = (feats.reshape(B * T, 2 * H) @ fold[0]).reshape(B, T, -1)
     scores += fold[1]
@@ -612,19 +604,15 @@ def loss_and_grads(
     dfeats = (dL @ fold[0].T).reshape(B, T, H2)
     del dL, fold
 
-    # each layer's output gradient, built lazily: the top layer takes over
-    # dfeats (back in the stack's time-major layout) and each lower one the
-    # input gradient of the layer above, plus dfeats with ``residual``
-    d_dropped: list[np.ndarray | None] = [None] * config.num_layers
-    d_dropped[-1] = dfeats.transpose(1, 0, 2)
-    if config.residual:
-        d_dropped[-2] = d_dropped[-1].copy()
+    # each layer's output gradient: the top layer takes over dfeats (back
+    # in the stack's time-major layout) and each lower one the input
+    # gradient of the layer above
+    dH = dfeats.transpose(1, 0, 2)
     del dfeats
 
     inv_keep = 1.0 / (1.0 - config.dropout) if config.dropout else 1.0
     H = config.hidden_dim
     for layer in range(config.num_layers - 1, -1, -1):
-        dH, d_dropped[layer] = d_dropped[layer], None
         if dropout_masks is not None:
             # in place, in the order of ``dD * mask * inv_keep``
             dH *= _unpack_mask(dropout_masks[layer], H2)
@@ -670,10 +658,7 @@ def loss_and_grads(
         del dH
         if layer > 0:
             cache.inputs[layer - 1] = None
-            if d_dropped[layer - 1] is None:
-                d_dropped[layer - 1] = dU_total
-            else:
-                d_dropped[layer - 1] += dU_total
+            dH = dU_total
             del dU_total
     return loss, grads
 
@@ -939,8 +924,9 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     against the bytes left before it is read or allocated for.
     Raises VersionMismatch for a future format version and CorruptCheckpoint
     for anything that does not parse cleanly: a config value of the wrong
-    type, decision letters other than the codec's, or arrays whose names and
-    shapes differ from :func:`param_shapes` of the stored config.
+    type, a ``residual`` setting other than false, decision letters other
+    than the codec's, or arrays whose names and shapes differ from
+    :func:`param_shapes` of the stored config.
     """
     with open(path, "rb") as raw:
         st = os.fstat(raw.fileno())
@@ -972,7 +958,11 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             )
         try:
             header = json.loads(take(take_u32()).decode("utf-8"))
-            config = ModelConfig(**header["config"])
+            settings = header["config"]
+            # a setting since removed; files that hold it as false still load
+            if settings.pop("residual", False) is not False:
+                raise CorruptCheckpoint(f"{path}: residual models are no longer supported")
+            config = ModelConfig(**settings)
             vocab = Vocabulary.from_json(header["vocab"])
             if vocab.size != config.vocab_size:
                 raise CorruptCheckpoint(f"{path}: vocabulary size != config.vocab_size")
@@ -1002,7 +992,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             for span in spans.values():  # the padding after each array
                 if span.stop % 4:  # a slice assignment costs more than the test
                     flat[span.stop : -(-span.stop // 4) * 4] = 0.0
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             if isinstance(exc, (CorruptCheckpoint, VersionMismatch)):
                 raise
             raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from exc

@@ -4,8 +4,10 @@ Training first passes over the premodern split, then the modern one; the
 optimizer state carries across but the learning-rate cycle restarts per
 phase, sized to that phase's epoch length.  A phase encodes its split
 once, and each step's batch is gathered only when the loop reaches it.
-Every run is bitwise reproducible from the plan seed: shuffles and
-dropout masks derive from it, and nothing reads entropy elsewhere.
+For one NumPy/BLAS build at one BLAS thread count, every run is bitwise
+reproducible from the plan seed: shuffles and dropout masks derive from
+it, and nothing reads entropy elsewhere.  Across thread counts the
+trained weights can differ in their last bits.
 """
 
 from __future__ import annotations
@@ -60,31 +62,23 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_POLICIES = ("triangular", "triangular2", "exp_range")
-
 
 @dataclass(frozen=True)
 class LRSchedule:
     """Cyclical learning rate: linear ramp base -> max -> base.
 
-    ``step_size_up`` is the step count of the ramp's rising half.  The
-    triangular2 policy halves the amplitude every full cycle and exp_range
-    decays it by ``gamma`` per step.
+    ``step_size_up`` is the step count of the ramp's rising half.
     """
 
     base_lr: float = 3e-4
     max_lr: float = 3e-3
     step_size_up: int = 1
-    policy: str = "triangular"
-    gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {_POLICIES}")
         if self.step_size_up < 1:
             raise ValueError("step_size_up must be positive")
-        if not (0.0 < self.base_lr <= self.max_lr < math.inf and 0.0 < self.gamma <= 1.0):
-            raise ValueError("need 0 < base_lr <= max_lr < inf and 0 < gamma <= 1")
+        if not 0.0 < self.base_lr <= self.max_lr < math.inf:
+            raise ValueError("need 0 < base_lr <= max_lr < inf")
 
     def lr_at(self, step: int) -> float:
         if step < 0:
@@ -93,15 +87,9 @@ class LRSchedule:
         # inputs and the schedule is exactly periodic
         x = (step % (2 * self.step_size_up)) / self.step_size_up
         pos = 1.0 - abs(x - 1.0)  # 0 at the valleys, 1 at the peaks
-        top = self.max_lr
-        if self.policy == "triangular2":
-            cycle = step // (2 * self.step_size_up)
-            top = self.base_lr + (self.max_lr - self.base_lr) / 2.0**cycle
-        elif self.policy == "exp_range":
-            top = self.base_lr + (self.max_lr - self.base_lr) * self.gamma**step
         # interpolation written so the valleys return base_lr exactly and
-        # the peaks return the cycle's top exactly
-        return self.base_lr * (1.0 - pos) + top * pos
+        # the peaks return max_lr exactly
+        return self.base_lr * (1.0 - pos) + self.max_lr * pos
 
 
 @dataclass
@@ -151,8 +139,6 @@ class TrainPlan:
     batch_size: int = 64
     base_lr: float = 3e-4
     max_lr: float = 3e-3
-    lr_policy: str = "triangular"
-    lr_gamma: float = 1.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -174,9 +160,9 @@ class TrainPlan:
                 and 0.0 < self.eps < math.inf):
             raise ValueError("need 0 <= beta1, beta2 < 1 and 0 < eps < inf")
         try:  # the schedule's own rule, checked before train opens any file
-            LRSchedule(self.base_lr, self.max_lr, policy=self.lr_policy, gamma=self.lr_gamma)
+            LRSchedule(self.base_lr, self.max_lr)
         except ValueError as exc:
-            raise ValueError(f"base_lr, max_lr, lr_policy, lr_gamma: {exc}") from None
+            raise ValueError(f"base_lr, max_lr: {exc}") from None
 
 
 class StepLog(NamedTuple):
@@ -309,8 +295,6 @@ def train(
                 base_lr=plan.base_lr,
                 max_lr=plan.max_lr,
                 step_size_up=steps_per_epoch,
-                policy=plan.lr_policy,
-                gamma=plan.lr_gamma,
             )
             log.info(
                 "phase %s: %d chunks, %d steps/epoch, %d epoch(s)",
@@ -425,7 +409,8 @@ def overfit_probe(
     Trains a small model on the document alone and measures decision
     accuracy (inference mode, through :class:`~hebdot.dotter.Dotter`)
     after every epoch, stopping early once the target is reached.  A
-    document with no decisions scores 0.
+    document with no decisions scores 0, and an epoch with no steps (a
+    document with no letters) records a loss of 0.
     """
     vocab = Vocabulary()
     config = ModelConfig(
@@ -443,7 +428,8 @@ def overfit_probe(
         steps = _fit_epoch(
             params, config, adam, chunks, batch_size, (seed, epoch), lambda i: lr
         )
-        loss_history.append(float(np.mean([loss for _, loss in steps])))
+        losses = [loss for _, loss in steps]
+        loss_history.append(float(np.mean(losses)) if losses else 0.0)
         dotter = Dotter(Checkpoint(params, config, vocab, {}), batch_size)
         dec = score_document(doc, dotter.label_documents([doc])[0]).dec
         dec_history.append(dec.correct / dec.total if dec.total else 0.0)

@@ -46,7 +46,6 @@ def reference_forward(params, config, ids, lengths) -> dict[str, np.ndarray]:
     for r in range(B):
         n = int(lengths[r])
         x = params["embedding"][ids[r, :n]]
-        layers = []
         for layer in range(config.num_layers):
             p = f"lstm{layer}_"
             fwd = _lstm_row(x, params[p + "fwd_Wx"], params[p + "fwd_Wh"], params[p + "fwd_b"])
@@ -54,9 +53,7 @@ def reference_forward(params, config, ids, lengths) -> dict[str, np.ndarray]:
                 x[::-1], params[p + "bwd_Wx"], params[p + "bwd_Wh"], params[p + "bwd_b"]
             )[::-1]
             x = np.concatenate([fwd, bwd], axis=1)
-            layers.append(x)
-        feats = layers[-1] + layers[-2] if config.residual else layers[-1]
-        proj = feats @ params["proj_W"] + params["proj_b"]
+        proj = x @ params["proj_W"] + params["proj_b"]
         for k in CATEGORIES:
             logits[k][r, :n] = proj @ params[f"head_{k}_W"] + params[f"head_{k}_b"]
     return logits

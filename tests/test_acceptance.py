@@ -266,8 +266,8 @@ class TestAcceptance:
         verdict(
             "C8",
             identical_ckpt and across_runs and other_ckpt and across_batch and across_splits,
-            f"same-seed training runs byte-identical "
-            f"({'yes' if identical_ckpt else 'NO'}); dotting a "
+            f"same-seed training runs byte-identical for one NumPy/BLAS build "
+            f"at one BLAS thread count ({'yes' if identical_ckpt else 'NO'}); dotting a "
             f"{len(letters)}-char document is stable across runs, reloads, "
             f"batch sizes 1/17/64 and chunk-boundary splits "
             f"({len(pieces)} pieces)",

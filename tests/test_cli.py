@@ -135,12 +135,13 @@ class TestTrain:
         assert "learning_rate" in err
 
     # config line -> flags given with it; a flag that overrides a file value
-    # does not hide that value's wrong type
+    # does not hide that value's wrong type.  residual, lr_policy and
+    # lr_gamma are settings since removed, now unknown keys
     BAD_CONFIG = {
         "hidden_dim = banana": [], "seed = 1.5": [], "residual = 1": [],
         "dropout = true": [], "lr_policy = 3": [], "lr_policy = bogus": [],
         "base_lr = 1.0": [], "hidden_dim = 8.5": ["--hidden-dim", "8"],
-        "lr_gamma = -1": ["--lr-policy", "exp_range"],
+        "lr_gamma = -1": [],
     }
 
     @pytest.mark.parametrize("line", list(BAD_CONFIG))
@@ -172,6 +173,18 @@ class TestTrain:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--residual"], ["--lr-policy", "triangular"], ["--lr-gamma", "1.0"]],
+        ids=["residual", "lr-policy", "lr-gamma"],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--corpus", "c", "--out", str(tmp_path / "m.nkdm"), *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestDot:
@@ -290,6 +303,28 @@ class TestDot:
         assert code == 4
         assert "error:" in err and "Traceback" not in err
 
+    def test_header_with_residual_false_loads(self, capsys, random_checkpoint, tmp_path):
+        # every checkpoint written while residual was a setting says false
+        old = tmp_path / "old.nkdm"
+        rewrite_header(random_checkpoint, old, lambda h: h["config"].update(residual=False))
+        src = tmp_path / "in.txt"
+        src.write_text("שלום עולם\nשורה שניה\n", encoding="utf-8")
+        outs = []
+        for model in (random_checkpoint, old):
+            code, out, err = run(capsys, "dot", "--model", str(model), str(src))
+            assert code == 0 and err == ""
+            outs.append(out.encode("utf-8"))
+        assert outs[0] == outs[1]
+
+    def test_header_with_residual_true_is_refused(self, capsys, random_checkpoint, tmp_path):
+        bad = tmp_path / "bad.nkdm"
+        rewrite_header(random_checkpoint, bad, lambda h: h["config"].update(residual=True))
+        src = tmp_path / "in.txt"
+        src.write_text("שלום\n", encoding="utf-8")
+        code, out, err = run(capsys, "dot", "--model", str(bad), str(src))
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "residual" in err
+
 
 class TestBadModels:
     """Checkpoints that parse but do not fit their config exit 4 at load;
@@ -406,7 +441,7 @@ config_lines = st.lists(
         st.one_of(
             st.integers(-5, 500).map(str),
             st.floats(allow_nan=True).map(repr),
-            st.sampled_from(["true", "False", "banana", "triangular2", "exp_range"]),
+            st.sampled_from(["true", "False", "banana"]),
             st.text(st.characters(codec="utf-8", exclude_characters="#\n\r"), max_size=8),
         ),
     ).map(lambda kv: f"{kv[0]} = {kv[1]}"),

@@ -64,14 +64,10 @@ class TestConfig:
             ModelConfig(vocab_size=10, dropout=1.0)
         with pytest.raises(ValueError, match="hidden_dim"):
             ModelConfig(vocab_size=10, hidden_dim=8.0)
-        with pytest.raises(ValueError, match="residual"):
-            ModelConfig(vocab_size=10, residual="no")
+        with pytest.raises(ValueError, match="dropout"):
+            ModelConfig(vocab_size=10, dropout=True)
         with pytest.raises(ValueError, match="num_layers"):
             ModelConfig(vocab_size=10, num_layers=True)
-
-    def test_residual_needs_two_layers(self):
-        with pytest.raises(ValueError):
-            ModelConfig(vocab_size=10, num_layers=1, residual=True)
 
 
 class TestInit:
@@ -312,17 +308,15 @@ class TestForward:
             assert np.array_equal(a[name][perm], b[name])
 
     @pytest.mark.parametrize(
-        "dim, batch, width, residual",
-        [(8, 5, 9, False), (8, 5, 9, True), (16, 16, 40, False), (400, 3, 80, False)],
-        ids=["False", "True", "hidden16", "paper"],  # the first two name residual
+        "dim, batch, width",
+        [(8, 5, 9), (16, 16, 40), (400, 3, 80)],
+        ids=["False", "hidden16", "paper"],  # "False" is hidden 8: the id earlier runs report
     )
-    def test_no_cache_forward_matches_cached(self, dim, batch, width, residual):
+    def test_no_cache_forward_matches_cached(self, dim, batch, width):
         # both run one recurrence, with a rolling cell state; inference
         # drops each direction's gates, training caches them for the
         # backward pass.  The logits must not move by a bit
-        config = ModelConfig(
-            vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim, residual=residual
-        )
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim)
         params = init_params(config, seed=6)
         ids, lengths, _, _ = make_synthetic_batch(config, batch, width, seed=7)
         lengths[-1] = 1  # mixed lengths, down to a single letter
@@ -433,10 +427,8 @@ class TestAgainstReference:
     LINE_IDS = ["sentence", "repeated", "one-letter", "two-letters", "geresh-symbols"]
 
     @staticmethod
-    def make_model(dim, seed, residual=False):
-        config = ModelConfig(
-            vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim, residual=residual
-        )
+    def make_model(dim, seed):
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=dim, hidden_dim=dim)
         return init_params(config, seed=seed), config
 
     @staticmethod
@@ -451,12 +443,10 @@ class TestAgainstReference:
                 assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
 
     @pytest.mark.parametrize(
-        "dim, batch, residual",
-        [(16, 16, False), (16, 16, True), (128, 16, False), (400, 4, False)],
-        ids=["hidden16", "hidden16-residual", "hidden128", "paper"],
+        "dim, batch", [(16, 16), (128, 16), (400, 4)], ids=["hidden16", "hidden128", "paper"]
     )
-    def test_logits_match_reference(self, dim, batch, residual):
-        params, config = self.make_model(dim, 21, residual)
+    def test_logits_match_reference(self, dim, batch):
+        params, config = self.make_model(dim, 21)
         ids, lengths, _, _ = make_synthetic_batch(config, batch=batch, width=24, seed=22)
         ids[-1, : lengths[-1]] = 7  # a row of one repeated letter
         self.assert_matches_reference(params, config, ids, lengths)
@@ -555,14 +545,6 @@ class TestGradients:
         )
         assert report.passed, report.max_rel_err
 
-    def test_quick_gradcheck_residual(self):
-        config = tiny_config(residual=True)
-        ids, lengths, golds, masks = make_synthetic_batch(config, batch=2, width=8, seed=1)
-        report = gradient_check(
-            config, ids, lengths, golds, masks, seed=1, samples_per_array=40
-        )
-        assert report.passed, report.max_rel_err
-
     def test_quick_gradcheck_with_dropout_replay(self):
         config = tiny_config(dropout=0.25)
         ids, lengths, golds, masks = make_synthetic_batch(config, batch=2, width=8, seed=2)
@@ -575,17 +557,6 @@ class TestGradients:
             masks,
             seed=2,
             samples_per_array=40,
-            dropout_masks=drop,
-        )
-        assert report.passed, report.max_rel_err
-
-    def test_quick_gradcheck_residual_with_dropout_replay(self):
-        # the layer below the top one gets its own copy of the top gradient
-        config = tiny_config(residual=True, dropout=0.25)
-        ids, lengths, golds, masks = make_synthetic_batch(config, batch=2, width=8, seed=3)
-        drop = make_dropout_masks(config, 2, 8, np.random.default_rng(19))
-        report = gradient_check(
-            config, ids, lengths, golds, masks, seed=3, samples_per_array=40,
             dropout_masks=drop,
         )
         assert report.passed, report.max_rel_err
@@ -607,10 +578,8 @@ class TestStepMemory:
     its inputs as they were."""
 
     @staticmethod
-    def step_inputs(residual):
-        config = ModelConfig(
-            vocab_size=Vocabulary().size, embed_dim=128, hidden_dim=128, residual=residual
-        )
+    def step_inputs():
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=128, hidden_dim=128)
         params = init_params(config, seed=7)
         batch = make_synthetic_batch(config, batch=16, width=40, seed=8)
         drop = make_dropout_masks(config, 16, 40, np.random.default_rng(9))
@@ -623,16 +592,15 @@ class TestStepMemory:
         n = sum(g.nbytes for per_layer in cache.gates for g in per_layer.values())
         return n + sum(u.nbytes for u in cache.inputs) + cache.feats.nbytes
 
-    @pytest.mark.parametrize("residual", [False, True])
-    def test_forward_holds_nothing_beyond_its_cache(self, residual):
+    @pytest.mark.parametrize("case", [None], ids=["False"])  # the id earlier runs report
+    def test_forward_holds_nothing_beyond_its_cache(self, case):
         # bounds are in units of one (B, T, 2H) array.  The cache is each
         # direction's gates (2 units each), layer 1's input and the top
-        # features.  The forward peaks 10.60x here (10.59x with residual),
-        # flipping the top layer's input in place for the backward
-        # direction's GEMM.  A flipped copy of that input read 11.05x
-        # (11.04x), and caching every step's cell and hidden states too
-        # 14.30x (14.29x), under a bound of 14.5x
-        params, config, batch, drop = self.step_inputs(residual)
+        # features.  The forward peaks 10.60x here, flipping the top
+        # layer's input in place for the backward direction's GEMM.  A
+        # flipped copy of that input read 11.05x, and caching every step's
+        # cell and hidden states too 14.30x, under a bound of 14.5x
+        params, config, batch, drop = self.step_inputs()
         tracemalloc.start()
         try:
             _, cache = forward(params, config, *batch[:2], drop)
@@ -643,17 +611,17 @@ class TestStepMemory:
         assert self.cache_bytes(cache) == 10 * unit
         assert peak <= 11.0 * unit, peak / unit
 
-    @pytest.mark.parametrize("residual", [False, True])
-    def test_peak_within_cache_multiple(self, residual):
+    @pytest.mark.parametrize("case", [None], ids=["False"])  # the id earlier runs report
+    def test_peak_within_cache_multiple(self, case):
         # numpy reports its buffers to tracemalloc.  Freeing the cache as
         # the backward pass goes, rebuilding each direction's states there
         # into one buffer and flipping in place, a step peaks at 16.01
-        # units of one (B, T, 2H) array here (17.01 with residual), of
-        # which the gradient buffer is about 4.4.  Flipped copies and a
-        # separate hidden-state buffer read 16.52 (17.51), caching the
-        # states 19.52 (20.52) under a bound of 22.4, and holding the whole
-        # cache and a zeroed gradient per layer to the end about twice that
-        params, config, batch, drop = self.step_inputs(residual)
+        # units of one (B, T, 2H) array here, of which the gradient buffer
+        # is about 4.4.  Flipped copies and a separate hidden-state buffer
+        # read 16.52, caching the states 19.52 under a bound of 22.4, and
+        # holding the whole cache and a zeroed gradient per layer to the
+        # end about twice that
+        params, config, batch, drop = self.step_inputs()
         unit = batch[0].size * 2 * config.hidden_dim * 4  # float32
         tracemalloc.start()
         try:
@@ -661,10 +629,10 @@ class TestStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (17.5 if residual else 16.5) * unit, peak / unit
+        assert peak <= 16.5 * unit, peak / unit
 
     def test_no_side_effects(self):
-        params, config, batch, drop = self.step_inputs(residual=True)
+        params, config, batch, drop = self.step_inputs()
         params_before = flat_of(params).tobytes()
         drop_before = [m.tobytes() for m in drop]
         ids_before, lengths_before = batch[0].copy(), batch[1].copy()
@@ -702,13 +670,10 @@ class TestLetterSpaceGradients:
             golds[k][~live] = 0
         return self.IDS, self.LENGTHS, golds, masks
 
-    @pytest.mark.parametrize(
-        "layers, residual", [(1, False), (2, False), (2, True), (3, False), (3, True)]
-    )
-    def test_gradcheck(self, layers, residual):
+    @pytest.mark.parametrize("layers", [1, 2, 3], ids=["1-False", "2-False", "3-False"])
+    def test_gradcheck(self, layers):  # the ids earlier runs report
         config = ModelConfig(
-            vocab_size=8, embed_dim=2, hidden_dim=3, num_layers=layers,
-            dropout=0.0, residual=residual,
+            vocab_size=8, embed_dim=2, hidden_dim=3, num_layers=layers, dropout=0.0
         )
         batch = self.batch()
         # 24 samples cover every embedding and layer-0 input weight entry
@@ -723,27 +688,22 @@ class TestLetterSpaceGradients:
 
 class TestPaperSize:
     """Float64 gradients at the paper's dimensions (embed and hidden 400,
-    two layers, dropout replayed) on a batch of 2 rows of 12 letters, and
-    with ``residual`` on 2 rows whose second is one letter long, so every
-    direction's rebuilt states meet a row that ends at its first step.
-    Every coordinate of 7.1M parameters is out of reach, so a few sampled
-    ones per array are checked, plus random directions through all of them
-    at once."""
+    two layers, dropout replayed) on a batch of 2 rows whose second is one
+    letter long, so every direction's rebuilt states meet a row that ends at
+    its first step.  Every coordinate of 7.1M parameters is out of reach, so
+    a few sampled ones per array are checked, plus random directions through
+    all of them at once."""
 
-    @pytest.fixture(scope="class", params=[False, True], ids=["plain", "residual"])
-    def setup(self, request):
-        residual = request.param
-        config = ModelConfig(
-            vocab_size=Vocabulary().size, embed_dim=400, hidden_dim=400, residual=residual
-        )
+    @pytest.fixture(scope="class", params=[None], ids=["plain"])  # the id earlier runs report
+    def setup(self):
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=400, hidden_dim=400)
         ids, lengths, golds, masks = make_synthetic_batch(config, batch=2, width=12, seed=5)
-        if residual:
-            assert masks["niqqud"][-1, 0]  # the one-letter row has a live decision
-            lengths[-1] = 1
-            ids[-1, 1:] = 0
-            for k in CATEGORIES:
-                masks[k][-1, 1:] = False
-                golds[k][-1, 1:] = 0
+        assert masks["niqqud"][-1, 0]  # the one-letter row has a live decision
+        lengths[-1] = 1
+        ids[-1, 1:] = 0
+        for k in CATEGORIES:
+            masks[k][-1, 1:] = False
+            golds[k][-1, 1:] = 0
         drop = make_dropout_masks(config, 2, 12, np.random.default_rng(6))
         return config, (ids, lengths, golds, masks), drop
 
@@ -903,7 +863,18 @@ class TestCheckpoint:
         # the hash and breaks every checkpoint already written
         path = tmp_path / "m.nkdm"
         self._save(path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9f24f8f8c3b6e3cb6a66fd82d7de5558f55d4a00b967fbbe6b635bb3e106d4db"
+        )
+        # the same model as written while ``residual`` was a setting: the
+        # header also held "residual": false, and nothing else differed
+        (n,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + n])
+        header["config"]["residual"] = False
+        old = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        old_blob = blob[:8] + struct.pack("<I", len(old)) + old + blob[12 + n :]
+        assert hashlib.sha256(old_blob).hexdigest() == (
             "897d2035d579b71e5792664ff330cbd5ee95b7c87c53a1d249b2125b5734dcfe"
         )
 
@@ -995,7 +966,7 @@ class TestCheckpoint:
 
     def test_param_shapes_describe_init(self):
         config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=12, hidden_dim=8,
-                             num_layers=3, residual=True)
+                             num_layers=3)
         params = init_params(config, seed=0)
         assert list(params) == list(param_shapes(config))
         assert {k: v.shape for k, v in params.items()} == param_shapes(config)
