@@ -5,11 +5,11 @@ Subcommands: ``train``, ``dot``, ``eval``, ``stats`` and ``gradcheck``.
 :class:`ModelConfig` (``vocab_size`` aside), and its config file takes the
 same names; both dataclasses check their own values.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 a check failed, 2 usage
-error (argparse), 3 data problems (a config value of the wrong type or a bad
-plan among them), 4 unreadable or incompatible checkpoints (a header value
-of the wrong type, or decision letters other than this build's, among
-them), and models whose states or logits go non-finite in ``dot`` or
-``eval``.
+error (argparse), 3 data problems (a config value of the wrong type, a bad
+plan, or a ``dot --out`` naming the input among them), 4 unreadable or
+incompatible checkpoints (a header value of the wrong type, or decision
+letters other than this build's, among them), and models whose states or
+logits go non-finite in ``dot`` or ``eval``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import io
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -60,10 +61,18 @@ def _open_in(target: str):
     return open(target, "r", encoding="utf-8", newline="")
 
 
-def _open_out(target: str):
-    """The output of ``dot``, written with the line ends it is given."""
+def _open_out(target: str, src):
+    """The output of ``dot``, written with the line ends it is given.  A
+    file that ``src`` reads is refused: opening it would empty the input
+    before it is read.  A ``src`` with no descriptor is never that file."""
     if target == "-":
         return sys.stdout
+    try:
+        same = os.path.samestat(os.fstat(src.fileno()), os.stat(target))
+    except (AttributeError, OSError):  # no descriptor, or no file at target yet
+        same = False
+    if same:
+        raise ValueError(f"--out {target} is the input file")
     return open(target, "w", encoding="utf-8", newline="")
 
 
@@ -118,7 +127,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     src = dst = None
     try:
         src = _open_in(args.input)
-        dst = _open_out(args.out)
+        dst = _open_out(args.out, src)
         for dotted in dotter.dot_stream(src, keep_existing=args.keep_existing):
             dst.write(dotted)
         dst.flush()
@@ -130,7 +139,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    golds = load_dir(Path(args.gold), source="gold")
+    golds = load_dir(Path(args.gold))
     dotter = Dotter.load(args.model, batch_size=args.batch_size)
     report = evaluate(golds, dotter.label_documents(golds))
     if args.baseline:

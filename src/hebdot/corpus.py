@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -78,13 +78,12 @@ class EmptyCorpus(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Document:
-    """One loaded text: id (relative path without suffix), the split it came
-    from, its letter stream, and ``labels``: per category of CATEGORIES an
-    int8 array of codec label values, one per letter, shared and read-only.
-    ``text`` renders the arrays as dotted text on first use."""
+    """One loaded text: id (relative path without suffix), its letter
+    stream, and ``labels``: per category of CATEGORIES an int8 array of
+    codec label values, one per letter, shared and read-only.  ``text``
+    renders the arrays as dotted text on first use."""
 
     id: str
-    source: str
     letters: str
     labels: dict[str, np.ndarray]
 
@@ -94,7 +93,7 @@ class Document:
             raise ValueError(f"{self.id}: label arrays must match the letters")
 
     @classmethod
-    def from_text(cls, id: str, source: str, raw: str) -> "Document":
+    def from_text(cls, id: str, raw: str) -> "Document":
         """Document of raw dotted text: letters and labels as
         :func:`codec.parse` reads them.  Marks before the first kept
         character, and marks a character cannot carry, are removed with a
@@ -118,7 +117,7 @@ class Document:
                 letters[at],
             )
             labels = {k: np.where(legal[k], labels[k], np.int8(0)) for k in CATEGORIES}
-        return cls(id, source, letters, labels)
+        return cls(id, letters, labels)
 
     @cached_property
     def text(self) -> str:
@@ -126,14 +125,14 @@ class Document:
         return insert_marks(self.letters, range(1, len(self.letters) + 1), self.labels)
 
 
-def load_file(path: Path, doc_id: str, source: str) -> Document | None:
+def load_file(path: Path, doc_id: str) -> Document | None:
     """Load one text file with :meth:`Document.from_text`; None if nothing
     usable remains after normalizing."""
-    doc = Document.from_text(doc_id, source, path.read_text(encoding="utf-8"))
+    doc = Document.from_text(doc_id, path.read_text(encoding="utf-8"))
     return doc if doc.letters else None
 
 
-def load_dir(directory: Path, source: str) -> list[Document]:
+def load_dir(directory: Path) -> list[Document]:
     """Load every ``*.txt`` under a directory, sorted by relative path.
 
     Raises EmptyCorpus if the directory is missing or contributes nothing.
@@ -143,7 +142,7 @@ def load_dir(directory: Path, source: str) -> list[Document]:
     if directory.is_dir():
         for path in sorted(directory.rglob("*.txt")):
             doc_id = path.relative_to(directory).with_suffix("").as_posix()
-            doc = load_file(path, doc_id=doc_id, source=source)
+            doc = load_file(path, doc_id=doc_id)
             if doc is None:
                 log.warning("%s: empty after normalization, skipped", path)
                 continue
@@ -157,7 +156,7 @@ def load_corpus(root: Path, split: str) -> list[Document]:
     """Load one named split from a corpus root."""
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}, expected one of {SPLITS}")
-    return load_dir(Path(root) / split, source=split)
+    return load_dir(Path(root) / split)
 
 
 def hebrew_token_count(text: str) -> int:
@@ -407,20 +406,13 @@ class SplitStats:
     documents: int
     tokens: int
     chars: int
-    decisions: dict[str, int] = field(default_factory=dict)
 
 
 def split_stats(docs: Iterable[Document]) -> SplitStats:
-    """Document/token/character counts plus per-category decision totals."""
+    """Document, Hebrew token and character counts."""
     n_docs = n_tokens = n_chars = 0
-    decisions = {k: 0 for k in CATEGORIES}
     for doc in docs:
         n_docs += 1
-        letters = doc.letters
-        n_tokens += hebrew_token_count(letters)
-        n_chars += len(letters)
-        for k, mask in decision_masks(letters).items():
-            decisions[k] += int(mask.sum())
-    return SplitStats(
-        documents=n_docs, tokens=n_tokens, chars=n_chars, decisions=decisions
-    )
+        n_tokens += hebrew_token_count(doc.letters)
+        n_chars += len(doc.letters)
+    return SplitStats(documents=n_docs, tokens=n_tokens, chars=n_chars)

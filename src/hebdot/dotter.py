@@ -104,7 +104,7 @@ class Dotter:
         bounds = pairwise(accumulate((len(doc.letters) for doc in docs), initial=0))
         parts = (dict(zip(CATEGORIES, labels[:, a:b])) for a, b in bounds)
         return [
-            Document(doc.id, "dotted", doc.letters, part)
+            Document(doc.id, doc.letters, part)
             for doc, part in zip(docs, parts)
         ]
 
@@ -135,7 +135,7 @@ class Dotter:
         if _HEBREW_SET.isdisjoint(letters):
             return stripped
         blank = {k: np.zeros(len(letters), dtype=np.int8) for k in CATEGORIES}
-        doc = Document("<input>", "input", letters, blank)
+        doc = Document("<input>", letters, blank)
         labels = self.label_documents([doc])[0].labels
         if keep_existing:
             # parse(text) reads the same letters; an input mark wins in its

@@ -107,17 +107,13 @@ _ADAM_SLICE = 1 << 16  # elements per pass: temporaries this size stay in cache
 
 
 def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
 ) -> None:
     """One in-place Adam update with bias correction of flat buffers (see
-    :func:`~hebdot.network.flat_of`); eps sits outside the square root.
+    :func:`~hebdot.network.flat_of`), at Kingma and Ba's recommended beta1
+    0.9, beta2 0.999 and eps 1e-8; eps sits outside the square root.
     Elements update independently, so slicing changes no bit."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -139,11 +135,7 @@ class TrainPlan:
     batch_size: int = 64
     base_lr: float = 3e-4
     max_lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     checkpoint_every: int = 500
-    log_every: int = 50
 
     def __post_init__(self) -> None:
         for name in field_types(TrainPlan):
@@ -152,13 +144,8 @@ class TrainPlan:
             raise ValueError("epoch counts must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.log_every < 1:
-            raise ValueError("log_every must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0
-                and 0.0 < self.eps < math.inf):
-            raise ValueError("need 0 <= beta1, beta2 < 1 and 0 < eps < inf")
         try:  # the schedule's own rule, checked before train opens any file
             LRSchedule(self.base_lr, self.max_lr)
         except ValueError as exc:
@@ -193,12 +180,11 @@ def _train_step(
     batch: Batch,
     drop_rng: np.random.Generator,
     lr: float,
-    **adam_kw: float,
 ) -> float:
     """One optimizer step on one batch: fresh dropout masks from
-    ``drop_rng``, loss and gradients, then an in-place Adam update with
-    ``adam_kw`` passed to :func:`adam_step`.  Returns the batch loss;
-    parameters stay untouched if the loss or an activation is non-finite."""
+    ``drop_rng``, loss and gradients, then an in-place :func:`adam_step`.
+    Returns the batch loss; parameters stay untouched if the loss or an
+    activation is non-finite."""
     masks = make_dropout_masks(
         config, batch.size, batch.letter_ids.shape[1], drop_rng
     )
@@ -211,7 +197,7 @@ def _train_step(
         batch.masks,
         masks,
     )
-    adam_step(flat_of(params), flat_of(grads), adam, lr, **adam_kw)
+    adam_step(flat_of(params), flat_of(grads), adam, lr)
     return loss
 
 
@@ -223,7 +209,6 @@ def _fit_epoch(
     batch_size: int,
     key: tuple[int, ...],
     lr_at: Callable[[int], float],
-    **adam_kw: float,
 ) -> Iterator[tuple[float, float]]:
     """One shuffled pass over ``chunks``, yielding ``(lr, loss)`` after each
     :func:`_train_step`.  The shuffle and the dropout masks derive from
@@ -233,7 +218,10 @@ def _fit_epoch(
     drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((*key, 2))))
     for i, batch in enumerate(batches):
         lr = lr_at(i)
-        yield lr, _train_step(params, config, adam, batch, drop_rng, lr, **adam_kw)
+        yield lr, _train_step(params, config, adam, batch, drop_rng, lr)
+
+
+_LOG_EVERY = 50  # -v logs step 1, then every this many steps
 
 
 def train(
@@ -246,8 +234,10 @@ def train(
 
     A step log lands next to it at ``<out_path>.log`` and, when a
     validation split exists, the epoch with the best validation word
-    accuracy is kept at ``<out_path>.best``.  On a non-finite loss the run
-    raises after logging; the last periodically saved checkpoint survives.
+    accuracy is kept at ``<out_path>.best``.  A split a phase needs that is
+    missing or empty raises EmptyCorpus before any file is written.  On a
+    non-finite loss the run raises after logging; the last periodically
+    saved checkpoint survives.
     """
     root = Path(root)
     out_path = Path(out_path)
@@ -267,6 +257,15 @@ def train(
         val_docs = None
         log.info("no validation split; best-checkpoint tracking disabled")
 
+    # every phase encodes before the log opens, so a corpus that lacks a
+    # needed split fails before it touches an earlier run's log
+    phases = [
+        (phase_idx, split, epochs, encode_document(load_corpus(root, split), vocab))
+        for phase_idx, (split, epochs) in enumerate(
+            [("premodern", plan.premodern_epochs), ("modern", plan.modern_epochs)]
+        )
+        if epochs
+    ]
     result = TrainResult(checkpoint_path=out_path, steps=0)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     log_path = out_path.with_name(out_path.name + ".log")
@@ -282,14 +281,7 @@ def train(
 
     global_step = 0
     with log_path.open("w", encoding="utf-8") as log_file:
-        phases = [
-            (0, "premodern", plan.premodern_epochs),
-            (1, "modern", plan.modern_epochs),
-        ]
-        for phase_idx, split, epochs in phases:
-            if epochs == 0:
-                continue
-            chunks = encode_document(load_corpus(root, split), vocab)
+        for phase_idx, split, epochs, chunks in phases:
             steps_per_epoch = math.ceil(len(chunks) / plan.batch_size)
             sched = LRSchedule(
                 base_lr=plan.base_lr,
@@ -309,7 +301,6 @@ def train(
                     key=(plan.seed, phase_idx, epoch),
                     # the cycle runs on across the phase's epochs
                     lr_at=lambda i: sched.lr_at(epoch * steps_per_epoch + i),
-                    beta1=plan.beta1, beta2=plan.beta2, eps=plan.eps,
                 )
                 try:
                     for lr, loss in steps:
@@ -320,7 +311,7 @@ def train(
                         log_file.write(
                             f"{entry.step}\t{entry.lr:.8g}\t{entry.loss:.6f}\t{split}\n"
                         )
-                        if global_step % plan.log_every == 0 or global_step == 1:
+                        if global_step % _LOG_EVERY == 0 or global_step == 1:
                             log.info(
                                 "step %d lr %.5f loss %.4f (%s)",
                                 global_step,
@@ -441,7 +432,7 @@ def overfit_probe(
 def parse_config_file(path: Path | str) -> dict[str, object]:
     """Read ``key = value`` lines; '#' starts a comment, blanks are skipped.
 
-    Values parse as int, then float, then true/false, else stay strings.
+    Values parse as int, then float, else stay strings.
     """
     out: dict[str, object] = {}
     for lineno, raw in enumerate(
@@ -470,6 +461,4 @@ def _parse_value(value: str) -> object:
         return float(value)
     except ValueError:
         pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
     return value

@@ -34,7 +34,7 @@ def corpus_root() -> Path:
 
 def doc_from_text(text: str, doc_id: str = "doc") -> Document:
     """A test document read from dotted text by the rule loading uses."""
-    return Document.from_text(doc_id, "test", text)
+    return Document.from_text(doc_id, text)
 
 
 def checkpoint_fields(blob: bytes) -> list[tuple[str, int, int]]:

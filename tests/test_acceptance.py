@@ -57,9 +57,9 @@ class TestAcceptance:
         checked = 0
         for path in files:
             raw = path.read_text(encoding="utf-8")
-            first = Document.from_text(path.stem, "c1", raw)
+            first = Document.from_text(path.stem, raw)
             once = first.text
-            again = Document.from_text(path.stem, "c1", once)
+            again = Document.from_text(path.stem, once)
             if again.text != once:
                 violations += 1
             if again.letters != first.letters or any(

@@ -135,13 +135,14 @@ class TestTrain:
         assert "learning_rate" in err
 
     # config line -> flags given with it; a flag that overrides a file value
-    # does not hide that value's wrong type.  residual, lr_policy and
-    # lr_gamma are settings since removed, now unknown keys
+    # does not hide that value's wrong type.  residual, lr_policy, lr_gamma,
+    # beta1, eps and log_every are settings since removed, now unknown keys
     BAD_CONFIG = {
         "hidden_dim = banana": [], "seed = 1.5": [], "residual = 1": [],
         "dropout = true": [], "lr_policy = 3": [], "lr_policy = bogus": [],
         "base_lr = 1.0": [], "hidden_dim = 8.5": ["--hidden-dim", "8"],
-        "lr_gamma = -1": [],
+        "lr_gamma = -1": [], "beta1 = 0.9": [], "eps = 1e-8": [],
+        "log_every = 10": [],
     }
 
     @pytest.mark.parametrize("line", list(BAD_CONFIG))
@@ -164,6 +165,8 @@ class TestTrain:
         assert old_log.read_bytes() == b"1\t0.0003\t3.5\tmodern\n"
 
     def test_missing_corpus(self, capsys, tmp_path):
+        old_log = tmp_path / "m.nkdm.log"
+        old_log.write_bytes(b"1\t0.0003\t3.5\tmodern\n")  # an earlier run's log
         code, _, err = run(
             capsys,
             "train",
@@ -173,11 +176,36 @@ class TestTrain:
         )
         assert code == 3
         assert "error:" in err
+        assert old_log.read_bytes() == b"1\t0.0003\t3.5\tmodern\n"
+
+    def test_missing_second_phase_split(self, capsys, bundled_corpus_root, tmp_path):
+        # premodern/ would train, then modern/ is missing: nothing trains
+        # and the earlier log stays as it was
+        corpus = tmp_path / "corpus"
+        (corpus / "premodern").mkdir(parents=True)
+        for src in (bundled_corpus_root / "premodern").glob("*.txt"):
+            (corpus / "premodern" / src.name).write_bytes(src.read_bytes())
+        old_log = tmp_path / "m.nkdm.log"
+        old_log.write_bytes(b"1\t0.0003\t3.5\tmodern\n")
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(corpus),
+            "--out", str(tmp_path / "m.nkdm"),
+            *TRAIN_FAST,
+            "--premodern-epochs", "1",
+        )
+        assert code == 3
+        assert err.startswith("error:") and "modern" in err
+        assert old_log.read_bytes() == b"1\t0.0003\t3.5\tmodern\n"
+        assert not (tmp_path / "m.nkdm").exists()
 
     @pytest.mark.parametrize(
         "flags",
-        [["--residual"], ["--lr-policy", "triangular"], ["--lr-gamma", "1.0"]],
-        ids=["residual", "lr-policy", "lr-gamma"],
+        [["--residual"], ["--lr-policy", "triangular"], ["--lr-gamma", "1.0"],
+         ["--beta1", "0.9"], ["--beta2", "0.999"], ["--eps", "1e-8"],
+         ["--log-every", "10"]],
+        ids=["residual", "lr-policy", "lr-gamma", "beta1", "beta2", "eps", "log-every"],
     )
     def test_removed_flags_are_usage_errors(self, capsys, tmp_path, flags):
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +288,28 @@ class TestDot:
         code, stdout, err = run(capsys, "dot", "--model", str(random_checkpoint))
         assert code == 0, err
         assert self.unmarked(stdout.encode("utf-8")) == self.unmarked(self.CRLF)
+
+    @pytest.mark.parametrize("via", ["named", "stdin"])
+    def test_out_naming_the_input_is_refused(
+        self, capsys, monkeypatch, random_checkpoint, tmp_path, via
+    ):
+        # opening --out for writing would empty the input before it is read;
+        # a hard link names the same file by another path
+        src = tmp_path / "in.txt"
+        src.write_bytes("שלום עולם\n".encode("utf-8"))
+        (tmp_path / "link.txt").hardlink_to(src)
+        for out in (src, tmp_path / "link.txt"):
+            with open(src, encoding="utf-8") as stdin:
+                if via == "stdin":
+                    monkeypatch.setattr("sys.stdin", stdin)
+                named = [str(src)] if via == "named" else []
+                code, stdout, err = run(
+                    capsys, "dot", "--model", str(random_checkpoint), *named,
+                    "--out", str(out),
+                )
+            assert (code, stdout) == (3, "")
+            assert err.startswith("error:") and str(out) in err
+            assert src.read_bytes() == "שלום עולם\n".encode("utf-8")
 
     def test_unwritable_out_closes_input(self, capsys, monkeypatch, random_checkpoint, tmp_path):
         src = tmp_path / "in.txt"

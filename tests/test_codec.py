@@ -51,7 +51,7 @@ def render(letters, labels):
 
 
 def from_text(text):
-    return Document.from_text("doc", "test", text)
+    return Document.from_text("doc", text)
 
 
 class TestCharClass:
@@ -484,7 +484,7 @@ VOWELS = [
 
 
 def one_letter(letter, niqqud=0, dagesh=0, sin=0):
-    return Document("x", "test", letter, labels_of((niqqud, dagesh, sin)))
+    return Document("x", letter, labels_of((niqqud, dagesh, sin)))
 
 
 def voc(gold, pred):

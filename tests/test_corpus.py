@@ -47,7 +47,6 @@ class TestLoading:
         for split in SPLITS:
             docs = load_corpus(bundled_corpus_root, split)
             assert docs, split
-            assert all(d.source == split for d in docs)
 
     def test_ids_are_sorted_relative_paths(self, bundled_corpus_root):
         docs = load_corpus(bundled_corpus_root, "modern")
@@ -57,7 +56,7 @@ class TestLoading:
 
     def test_text_is_canonical(self, bundled_corpus_root):
         for d in load_corpus(bundled_corpus_root, "modern"):
-            again = Document.from_text(d.id, d.source, d.text)
+            again = Document.from_text(d.id, d.text)
             assert again.text == d.text
             assert again.letters == d.letters
             for k in CATEGORIES:
@@ -68,7 +67,7 @@ class TestLoading:
         text = "א " + "ָ" + " ב"
         path = tmp_path / "doc.txt"
         path.write_bytes(text.encode("utf-8"))
-        loaded = load_file(path, "doc", "test")
+        loaded = load_file(path, "doc")
         built = doc_from_text(text)
         assert built.letters == loaded.letters == "א ב"
         for k in CATEGORIES:
@@ -80,7 +79,7 @@ class TestLoading:
 
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(EmptyCorpus):
-            load_dir(tmp_path, source="x")
+            load_dir(tmp_path)
 
     def test_missing_dir_raises(self, tmp_path):
         with pytest.raises(EmptyCorpus):
@@ -90,7 +89,7 @@ class TestLoading:
         (tmp_path / "empty.txt").write_text("\n  \n", encoding="utf-8")
         (tmp_path / "ok.txt").write_text("שָׁלוֹם\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            docs = load_dir(tmp_path, source="x")
+            docs = load_dir(tmp_path)
         assert [d.id for d in docs] == ["ok"]
         assert any("skipped" in r.message for r in caplog.records)
 
@@ -98,14 +97,14 @@ class TestLoading:
         # sin dot on bet cannot stand; load must drop it and log
         (tmp_path / "noisy.txt").write_text("בׂא", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            docs = load_dir(tmp_path, source="x")
+            docs = load_dir(tmp_path)
         assert docs[0].text == "בא"
         assert any("repaired" in r.message for r in caplog.records)
 
     def test_leading_marks_dropped(self, tmp_path, caplog):
         (tmp_path / "lead.txt").write_text("ָשָׁלוֹם", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            docs = load_dir(tmp_path, source="x")
+            docs = load_dir(tmp_path)
         assert docs[0].letters == "שלום"
         assert any("leading" in r.message for r in caplog.records)
 
@@ -114,7 +113,7 @@ class TestLoading:
         path = tmp_path / "noisy.txt"
         path.write_text("רַּ aַ", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            doc = load_file(path, "noisy", "x")
+            doc = load_file(path, "noisy")
         assert doc.letters == "ר @"
         assert doc.labels["niqqud"].tolist() == [Niqqud.PATAH, 0, 0]
         assert not doc.labels["dagesh"].any() and not doc.labels["sin"].any()
@@ -125,7 +124,7 @@ class TestLoading:
         path = tmp_path / "orphans.txt"
         path.write_text("ַ ָשלום " + "ָ" + " עולם " + "ָ", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            doc = load_file(path, "orphans", "x")
+            doc = load_file(path, "orphans")
         assert doc.letters == "שלום עולם"
         assert not any(doc.labels[k].any() for k in CATEGORIES)
         assert any("dropped 2 leading" in r.message for r in caplog.records)
@@ -145,14 +144,14 @@ class TestLoading:
         path.write_bytes(text.encode("utf-8"))
         raw = path.read_text(encoding="utf-8")
         want = normalize(strip_diacritics(raw))
-        doc = load_file(path, "doc", "x")
+        doc = load_file(path, "doc")
         assert (doc.letters if doc else "") == want
 
     def test_nested_dirs(self, tmp_path):
         sub = tmp_path / "a" / "b"
         sub.mkdir(parents=True)
         (sub / "deep.txt").write_text("אָב", encoding="utf-8")
-        docs = load_dir(tmp_path, source="x")
+        docs = load_dir(tmp_path)
         assert docs[0].id == "a/b/deep"
 
 
@@ -487,14 +486,3 @@ class TestStats:
         assert stats.documents == len(docs)
         assert stats.tokens == sum(hebrew_token_count(d.letters) for d in docs)
         assert stats.chars == sum(len(d.letters) for d in docs)
-
-    def test_decision_totals_match_masks(self, bundled_corpus_root):
-        docs = load_corpus(bundled_corpus_root, "validation")
-        stats = split_stats(docs)
-        sums = {k: 0 for k in CATEGORIES}
-        for d in docs:
-            for ch in d.letters:
-                sums["niqqud"] += ch in NIQQUD_CAPABLE
-                sums["dagesh"] += ch in DAGESH_CAPABLE
-                sums["sin"] += ch == "ש"
-        assert stats.decisions == sums

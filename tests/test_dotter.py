@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import hebdot
 from hebdot import corpus, dotter as dotter_module
 from hebdot.codec import Niqqud, parse, strip_diacritics
 from hebdot.corpus import (
@@ -17,6 +22,7 @@ from hebdot.corpus import (
 )
 from hebdot.dotter import Dotter, decode_labels
 from hebdot.network import Checkpoint, ModelConfig, forward, init_params, load_checkpoint
+from hebdot.trainer import TrainPlan, train
 
 from conftest import oracle_mark_problems
 
@@ -163,7 +169,6 @@ class TestDocuments:
         doc = load_corpus(bundled_corpus_root, "validation")[0]
         (out,) = random_dotter.label_documents([doc])
         assert out.id == doc.id
-        assert out.source == "dotted"
         assert out.letters == doc.letters
         assert strip_diacritics(out.text) == doc.letters
 
@@ -217,7 +222,7 @@ def assert_packed_matches_single_rows(ckpt, docs, packed, gap):
     alone = Dotter(ckpt, batch_size=1)
     assert len(packed) == len(docs)
     for doc, got in zip(docs, packed):
-        assert (got.id, got.source, got.letters) == (doc.id, "dotted", doc.letters)
+        assert (got.id, got.letters) == (doc.id, doc.letters)
         want = alone.label_documents([doc])[0].labels
         for k in CATEGORIES:
             assert np.array_equal(got.labels[k], want[k]), (
@@ -255,7 +260,7 @@ class TestLabelDocuments:
 
     def test_document_without_chunks(self, random_dotter, bundled_corpus_root):
         blank = {k: np.zeros(1, dtype=np.int8) for k in CATEGORIES}
-        space = Document("space", "test", " ", blank)
+        space = Document("space", " ", blank)
         doc = load_corpus(bundled_corpus_root, "test")[0]
         out = random_dotter.label_documents([space, doc, space])
         for got in (out[0], out[2]):
@@ -346,3 +351,46 @@ class TestNearPaperSize:
         record_property("min_top2_logit_gap_packed", gap)
         print(f"smallest top-2 logit gap over packed batches: {gap:.3g}")
         assert_packed_matches_single_rows(wide_checkpoint, docs, packed, gap)
+
+
+class TestBlasThreadCounts:
+    def test_dot_and_eval_match_across_thread_counts(
+        self, bundled_corpus_root, tmp_path, packing, record_property
+    ):
+        # Trained weights can differ in their last bits across BLAS thread
+        # counts; dotting and eval with one model must not.  NumPy fixes the
+        # count when it loads, so each run is its own process.
+        model = tmp_path / "m.nkdm"
+        config = ModelConfig(vocab_size=Vocabulary().size, embed_dim=16, hidden_dim=16)
+        plan = TrainPlan(seed=3, premodern_epochs=0, modern_epochs=1, batch_size=16)
+        train(bundled_corpus_root, model, config=config, plan=plan)
+        text = tmp_path / "modern.txt"
+        text.write_bytes(b"".join(
+            p.read_bytes() for p in sorted((bundled_corpus_root / "modern").glob("*.txt"))
+        ))
+        src = str(Path(hebdot.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def hebdot_at(threads, *argv):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+            done = subprocess.run(
+                [sys.executable, "-m", "hebdot.cli", *argv, "--model", str(model)],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            return done.stdout
+
+        outs = {
+            threads: (
+                hebdot_at(threads, "dot", str(text)),
+                hebdot_at(threads, "eval", "--gold", str(bundled_corpus_root / "test"), "--counts"),
+            )
+            for threads in (1, 2)
+        }
+        # the same labelling in this process, for the smallest top-2 gap
+        dotter = Dotter.load(model)
+        dotter.label_documents(load_corpus(bundled_corpus_root, "test"))
+        list(dotter.dot_stream(text.read_text(encoding="utf-8").splitlines(True)))
+        record_property("min_top2_logit_gap", packing.gap)
+        assert outs[1][0] == outs[2][0], f"dot differs; smallest top-2 logit gap {packing.gap:.3g}"
+        assert outs[1][1] == outs[2][1], f"eval differs; smallest top-2 logit gap {packing.gap:.3g}"

@@ -135,7 +135,7 @@ def relabelled(rng, doc: Document, share: float) -> Document:
     fresh = random_marked(rng, doc.letters)
     flip = rng.random(len(doc.letters)) < share
     labels = {k: np.where(flip, fresh[k], doc.labels[k]) for k in CATEGORIES}
-    return Document(doc.id, "pred", doc.letters, labels)
+    return Document(doc.id, doc.letters, labels)
 
 
 class TestVocNeverBelowWor:
