@@ -6,10 +6,10 @@ Subcommands: ``train``, ``dot``, ``eval``, ``stats`` and ``gradcheck``.
 same names; both dataclasses check their own values.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 a check failed, 2 usage
 error (argparse), 3 data problems (a config value of the wrong type, a bad
-plan, or a ``dot --out`` naming the input among them), 4 unreadable or
-incompatible checkpoints (a header value of the wrong type, or decision
-letters other than this build's, among them), and models whose states or
-logits go non-finite in ``dot`` or ``eval``.
+plan, or a ``dot --out`` naming the input or the model among them), 4
+unreadable or incompatible checkpoints (a header value of the wrong type,
+or decision letters other than this build's, among them), and models whose
+states or logits go non-finite in ``dot`` or ``eval``.
 """
 
 from __future__ import annotations
@@ -61,18 +61,22 @@ def _open_in(target: str):
     return open(target, "r", encoding="utf-8", newline="")
 
 
-def _open_out(target: str, src):
-    """The output of ``dot``, written with the line ends it is given.  A
-    file that ``src`` reads is refused: opening it would empty the input
-    before it is read.  A ``src`` with no descriptor is never that file."""
+def _open_out(target: str, src, model: str):
+    """The output of ``dot``, written with the line ends it is given.  The
+    file that ``src`` reads, and the model file, are refused: opening either
+    would empty it.  A ``src`` with no descriptor is never that file."""
     if target == "-":
         return sys.stdout
-    try:
-        same = os.path.samestat(os.fstat(src.fileno()), os.stat(target))
-    except (AttributeError, OSError):  # no descriptor, or no file at target yet
-        same = False
-    if same:
-        raise ValueError(f"--out {target} is the input file")
+    for what, stat_of in (
+        ("input", lambda: os.fstat(src.fileno())),
+        ("model", lambda: os.stat(model)),
+    ):
+        try:
+            same = os.path.samestat(stat_of(), os.stat(target))
+        except (AttributeError, OSError):  # no descriptor, or no file at target yet
+            same = False
+        if same:
+            raise ValueError(f"--out {target} is the {what} file")
     return open(target, "w", encoding="utf-8", newline="")
 
 
@@ -127,7 +131,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     src = dst = None
     try:
         src = _open_in(args.input)
-        dst = _open_out(args.out, src)
+        dst = _open_out(args.out, src, args.model)
         for dotted in dotter.dot_stream(src, keep_existing=args.keep_existing):
             dst.write(dotted)
         dst.flush()

@@ -54,10 +54,9 @@ def decode_labels(
     }
 
 
-# Rows per inference batch.  A 16-row forward holds a quarter of a 64-row
-# one's activations; 64 rows label faster (about 1.6x at hidden 16, 1.2x at
-# the paper's size) when memory allows.
-INFERENCE_BATCH_SIZE = 16
+# Rows per inference batch.  A 32-row forward holds twice a 16-row one's
+# activations and takes half the recurrent steps over many chunks.
+INFERENCE_BATCH_SIZE = 32
 
 
 class Dotter:

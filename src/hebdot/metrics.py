@@ -5,8 +5,9 @@ on a character to agree; WOR requires every character of a token to agree;
 VOC relaxes WOR to pronunciation, so marks that read identically (qamats
 versus patah, sheva versus nothing) do not count as errors.
 
-:func:`score_document` computes all four from the two documents' label
-arrays at once.  Gold and prediction are compared strictly position by
+:func:`evaluate` computes all four for every document pair at once, in
+one pass over their label arrays; :func:`score_document` is its case of
+one pair.  Gold and prediction are compared strictly position by
 position, which only makes sense when their letter streams are identical;
 any divergence raises rather than producing a silently shifted score.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import BKP_LETTERS, Niqqud
-from .corpus import Document, decision_masks, letter_mask, token_spans
+from .corpus import CATEGORIES, Document, decision_masks, letter_mask, token_spans
 
 __all__ = [
     "LetterStreamMismatch",
@@ -92,39 +93,69 @@ _VOWEL_CLASS[[Niqqud.HOLAM, Niqqud.HATAF_QAMATS]] = 4
 _VOWEL_CLASS[Niqqud.QUBUTS] = 5
 
 
-def _tokens_ok(spans: np.ndarray, char_ok: np.ndarray) -> Counts:
-    """Tokens, as (n, 2) spans, whose every letter is ok, by a running count
-    of bad letters."""
-    bad_before = np.concatenate(([0], np.cumsum(~char_ok)))
-    bad = bad_before[spans[:, 1]] - bad_before[spans[:, 0]]
-    return Counts(int((bad == 0).sum()), len(spans))
+def _score_pairs(golds: list[Document], preds: list[Document]) -> list[DocScores]:
+    """All four metrics of each document pair, in one pass over the golds'
+    letters joined by a space, which is never a decision and never inside
+    a token; a document's counts are differences of running sums at its
+    bounds.  Decisions are the letters' :func:`~hebdot.corpus.decision_masks`;
+    pronunciation compares the vowel class, the sin dot on shin and the
+    dagesh on b/k/p."""
+    for gold, pred in zip(golds, preds):
+        _check_letters(gold, pred)
+    letters = " ".join(gold.letters for gold in golds)
+    sizes = np.array([len(gold.letters) for gold in golds], dtype=np.intp)
+    begins = np.cumsum(sizes + 1) - sizes - 1  # where each document's letters sit
+    ends = begins + sizes
 
+    def joined(docs: list[Document], k: str) -> np.ndarray:
+        out = np.zeros(len(letters), np.int8)
+        for doc, at, end in zip(docs, begins, ends):
+            out[at:end] = doc.labels[k]
+        return out
 
-def score_document(gold: Document, pred: Document) -> DocScores:
-    """All four metrics of one document pair.  Decisions are the letters'
-    :func:`~hebdot.corpus.decision_masks`; pronunciation compares the vowel
-    class, the sin dot on shin and the dagesh on b/k/p."""
-    _check_letters(gold, pred)
-    g, p = gold.labels, pred.labels
-    masks = decision_masks(gold.letters)
+    g = {k: joined(golds, k) for k in CATEGORIES}
+    p = {k: joined(preds, k) for k in CATEGORIES}
+    masks = decision_masks(letters)
     slots = sum(m.astype(np.intp) for m in masks.values())
     wrong = sum((masks[k] & (g[k] != p[k])).astype(np.intp) for k in masks)
     char_ok = wrong == 0
-    bkp = letter_mask(gold.letters, BKP_LETTERS)
+    bkp = letter_mask(letters, BKP_LETTERS)
     same_sound = (
         (~masks["niqqud"] | (_VOWEL_CLASS[g["niqqud"]] == _VOWEL_CLASS[p["niqqud"]]))
         & (~masks["sin"] | (g["sin"] == p["sin"]))
         & (~bkp | ((g["dagesh"] != 0) == (p["dagesh"] != 0)))
     )
     has = slots > 0
-    spans = token_spans(gold.letters)
-    return DocScores(
-        doc_id=gold.id,
-        dec=Counts(int(slots.sum() - wrong.sum()), int(slots.sum())),
-        cha=Counts(int((has & char_ok).sum()), int(has.sum())),
-        wor=_tokens_ok(spans, char_ok),
-        voc=_tokens_ok(spans, same_sound),
-    )
+    spans = token_spans(letters)
+    first, last = np.searchsorted(spans[:, 0], begins), np.searchsorted(spans[:, 0], ends)
+
+    def per_doc(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The sum of ``values[a[i]:b[i]]`` for every i."""
+        running = np.concatenate(([0], np.cumsum(values)))
+        return running[b] - running[a]
+
+    def tokens_ok(ok: np.ndarray) -> np.ndarray:
+        bad = per_doc(~ok, spans[:, 0], spans[:, 1])
+        return per_doc(bad == 0, first, last)
+
+    n_slots, n_wrong = per_doc(slots, begins, ends), per_doc(wrong, begins, ends)
+    n_cha, n_has = per_doc(has & char_ok, begins, ends), per_doc(has, begins, ends)
+    n_wor, n_voc, n_tokens = tokens_ok(char_ok), tokens_ok(same_sound), last - first
+    return [
+        DocScores(
+            doc_id=gold.id,
+            dec=Counts(int(n_slots[i] - n_wrong[i]), int(n_slots[i])),
+            cha=Counts(int(n_cha[i]), int(n_has[i])),
+            wor=Counts(int(n_wor[i]), int(n_tokens[i])),
+            voc=Counts(int(n_voc[i]), int(n_tokens[i])),
+        )
+        for i, gold in enumerate(golds)
+    ]
+
+
+def score_document(gold: Document, pred: Document) -> DocScores:
+    """All four metrics of one document pair."""
+    return _score_pairs([gold], [pred])[0]
 
 
 @dataclass(frozen=True)
@@ -137,10 +168,10 @@ class Report:
 def evaluate(golds: list[Document], preds: list[Document]) -> Report:
     """Score predictions against gold, macro-averaging over documents.
 
-    Documents pair by id and every gold document must have a prediction.
-    Documents with no decisions at all sit outside the average and are
-    reported as skipped.  The macro average weighs every document equally,
-    whatever its size.
+    Documents pair by id and every gold document must have a prediction;
+    all pairs are scored in one pass.  Documents with no decisions at all
+    sit outside the average and are reported as skipped.  The macro average
+    weighs every document equally, whatever its size.
     """
     by_id = {p.id: p for p in preds}
     missing = [g.id for g in golds if g.id not in by_id]
@@ -149,15 +180,14 @@ def evaluate(golds: list[Document], preds: list[Document]) -> Report:
 
     scored: list[DocScores] = []
     skipped: list[str] = []
-    for g in golds:
-        s = score_document(g, by_id[g.id])
+    for s in _score_pairs(golds, [by_id[g.id] for g in golds]):
         if s.dec.total == 0:
-            skipped.append(g.id)
-            log.warning("%s: no decisions, excluded from the average", g.id)
+            skipped.append(s.doc_id)
+            log.warning("%s: no decisions, excluded from the average", s.doc_id)
             continue
         if s.voc.correct < s.wor.correct:
             raise AssertionError(
-                f"{g.id}: VOC below WOR, the relaxation is broken"
+                f"{s.doc_id}: VOC below WOR, the relaxation is broken"
             )
         scored.append(s)
     if not scored:

@@ -860,6 +860,25 @@ class Checkpoint:
     meta: dict
 
 
+def _array_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """What precedes an array's floats in a checkpoint: its length-prefixed
+    name, its rank and its dims."""
+    name_b = name.encode("utf-8")
+    return (
+        struct.pack("<I", len(name_b))
+        + name_b
+        + struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+    )
+
+
+@lru_cache(maxsize=8)
+def _array_heads(config: ModelConfig) -> tuple[tuple[str, bytes], ...]:
+    """Each array of the config with its :func:`_array_head`, in the sorted
+    name order of the file."""
+    shapes = param_shapes(config)
+    return tuple((name, _array_head(name, shapes[name])) for name in sorted(shapes))
+
+
 def save_checkpoint(
     path: Path | str,
     params: dict[str, np.ndarray],
@@ -897,12 +916,7 @@ def save_checkpoint(
             )
             for name in sorted(params):
                 arr = np.ascontiguousarray(params[name], dtype="<f4")
-                name_b = name.encode("utf-8")
-                f.write(
-                    struct.pack("<I", len(name_b))
-                    + name_b
-                    + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-                )
+                f.write(_array_head(name, arr.shape))
                 f.write(memoryview(arr).cast("B"))
             f.flush()
             os.fsync(f.fileno())
@@ -926,7 +940,9 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     for anything that does not parse cleanly: a config value of the wrong
     type, a ``residual`` setting other than false, decision letters other
     than the codec's, or arrays whose names and shapes differ from
-    :func:`param_shapes` of the stored config.
+    :func:`param_shapes` of the stored config or that are out of sorted
+    name order: each array's name, rank and dims are read as one byte
+    string and compared with what :func:`save_checkpoint` writes for them.
     """
     with open(path, "rb") as raw:
         st = os.fstat(raw.fileno())
@@ -972,20 +988,23 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             # than the load; non-finite weights surface as NonFiniteActivation
             expected = param_shapes(config)
             spans, end = param_layout(config)
+            heads = _array_heads(config)
+            n_arrays = take_u32()
+            if n_arrays != len(heads):
+                raise CorruptCheckpoint(
+                    f"{path}: {n_arrays} arrays, {len(heads)} expected for the config"
+                )
             fits(4 * end)  # before the allocation; no padding outweighs a name and dims
             flat = np.empty(end, dtype="<f4")
-            n_arrays = fits(take_u32())
-            seen: set[str] = set()
-            for _ in range(n_arrays):
-                name = take(take_u32()).decode("utf-8")
-                rank = take_u32()
-                shape = struct.unpack(f"<{rank}I", take(4 * rank))
-                if expected.get(name) != shape or name in seen:
+            for name, head in heads:
+                got = take(len(head))
+                if got != head:
+                    found = got[4 : 4 + struct.unpack_from("<I", got)[0]]
                     raise CorruptCheckpoint(
-                        f"{path}: array {name!r} of shape {shape} is unexpected,"
-                        " misshapen or repeated for the config"
+                        f"{path}: array {found.decode('utf-8', 'replace')!r} where the"
+                        f" config has {name!r} of shape {expected[name]}: misnamed,"
+                        " misshapen, repeated or out of order for the config"
                     )
-                seen.add(name)
                 arr = flat[spans[name]]
                 pos += fits(arr.nbytes)
                 f.readinto(arr)
@@ -1000,9 +1019,6 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             raise CorruptCheckpoint(f"{path}: truncated at byte {f.tell()}")
     if pos != size:
         raise CorruptCheckpoint(f"{path}: {size - pos} trailing bytes")
-    if len(seen) != len(expected):
-        missing = ", ".join(sorted(expected.keys() - seen))
-        raise CorruptCheckpoint(f"{path}: arrays missing for the config: {missing}")
     return Checkpoint(
         # no-op when little-endian
         params=param_views(config, flat.astype(np.float32, copy=False)),

@@ -142,6 +142,8 @@ class TrainPlan:
             check_setting(TrainPlan, name, getattr(self, name))
         if self.premodern_epochs < 0 or self.modern_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
+        if self.premodern_epochs + self.modern_epochs == 0:
+            raise ValueError("no epochs to train: both epoch counts are 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.checkpoint_every < 0:

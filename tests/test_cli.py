@@ -178,6 +178,23 @@ class TestTrain:
         assert "error:" in err
         assert old_log.read_bytes() == b"1\t0.0003\t3.5\tmodern\n"
 
+    def test_no_epochs_refused(self, capsys, bundled_corpus_root, tmp_path):
+        # it would save untrained weights marked final over an emptied log
+        old_log = tmp_path / "m.nkdm.log"
+        old_log.write_bytes(b"1\t0.0003\t3.5\tmodern\n")  # an earlier run's log
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(bundled_corpus_root),
+            "--out", str(tmp_path / "m.nkdm"),
+            *TRAIN_FAST,
+            "--modern-epochs", "0",
+        )
+        assert code == 3
+        assert err.startswith("error:") and "epochs" in err
+        assert old_log.read_bytes() == b"1\t0.0003\t3.5\tmodern\n"
+        assert not (tmp_path / "m.nkdm").exists()
+
     def test_missing_second_phase_split(self, capsys, bundled_corpus_root, tmp_path):
         # premodern/ would train, then modern/ is missing: nothing trains
         # and the earlier log stays as it was
@@ -311,6 +328,22 @@ class TestDot:
             assert err.startswith("error:") and str(out) in err
             assert src.read_bytes() == "שלום עולם\n".encode("utf-8")
 
+    def test_out_naming_the_model_is_refused(self, capsys, random_checkpoint, tmp_path):
+        # the checkpoint would be replaced by dotted text; a hard link names
+        # the same file by another path
+        model = tmp_path / "m.nkdm"
+        model.write_bytes(random_checkpoint.read_bytes())
+        (tmp_path / "link.nkdm").hardlink_to(model)
+        src = tmp_path / "in.txt"
+        src.write_text("שלום עולם\n", encoding="utf-8")
+        for out in (model, tmp_path / "link.nkdm"):
+            code, stdout, err = run(
+                capsys, "dot", "--model", str(model), str(src), "--out", str(out)
+            )
+            assert (code, stdout) == (3, "")
+            assert err.startswith("error:") and "model" in err and str(out) in err
+            assert model.read_bytes() == random_checkpoint.read_bytes()
+
     def test_unwritable_out_closes_input(self, capsys, monkeypatch, random_checkpoint, tmp_path):
         src = tmp_path / "in.txt"
         src.write_text("שלום\n", encoding="utf-8")
@@ -417,8 +450,9 @@ class TestBadModels:
 
 class TestDamagedCheckpointFuzz:
     """Seeded damage to a hidden-8 checkpoint, each case run through ``dot``
-    in this process: a truncated file or an oversized length field exits 4
-    with an error line, and a bit flip outside the float data exits 4 or,
+    in this process: a truncated file, an oversized length field or arrays
+    out of sorted name order exit 4 with an error line, and a bit flip
+    outside the float data exits 4 or,
     where the file still loads, 0 with only diacritics added.  Flips in the
     float data are left out: only a checksum could catch them."""
 
@@ -460,6 +494,21 @@ class TestDamagedCheckpointFuzz:
             assert (code, out) == (4, ""), field
             assert err.startswith("error:") and "Traceback" not in err, field
 
+    def test_arrays_out_of_order(self, capsys, tmp_path, blob):
+        # every array whole and well formed, each pair of neighbours swapped
+        records = []  # (start, end) of each array's name length to data end
+        for field, a, b in checkpoint_fields(blob):
+            if field.endswith(" name length"):
+                records.append([a, b])
+            elif field.endswith(" data"):
+                records[-1][1] = b
+        assert len(records) > 10
+        for (a, b), (_, c) in zip(records, records[1:]):
+            swapped = blob[:a] + blob[b:c] + blob[a:b] + blob[c:]
+            code, out, err = self.dot(capsys, tmp_path, swapped)
+            assert (code, out) == (4, ""), (a, b)
+            assert err.startswith("error:") and "out of order" in err, (a, b)
+
     def test_bit_flips_outside_the_floats(self, capsys, tmp_path, blob):
         offsets = [
             i for f, a, b in checkpoint_fields(blob) if not f.endswith(" data")
@@ -480,7 +529,7 @@ class TestDamagedCheckpointFuzz:
             else:  # the file still loads: dotting adds marks and nothing else
                 assert "".join(c for c in out if not "\u0591" <= c <= "\u05c7") == self.TEXT, case
             exits.append(code)
-        assert exits.count(4) > len(exits) // 2  # 98 of 104 at this seed
+        assert exits.count(4) > len(exits) // 2  # 97 of 104 at this seed
 
 
 # config lines: known keys (and a few unknown ones) with values of any type; text values

@@ -20,7 +20,7 @@ from hebdot.corpus import (
     load_corpus,
     make_batches,
 )
-from hebdot.dotter import Dotter, decode_labels
+from hebdot.dotter import INFERENCE_BATCH_SIZE, Dotter, decode_labels
 from hebdot.network import Checkpoint, ModelConfig, forward, init_params, load_checkpoint
 from hebdot.trainer import TrainPlan, train
 
@@ -328,17 +328,24 @@ class TestNearPaperSize:
         # are.  The smallest top-2 gap is reported, so a near-tie shows up
         # as a number next to a failure rather than as a flaky test.
         docs = [d for split in SPLITS for d in load_corpus(bundled_corpus_root, split)]
-        gap = smallest_top2_gap(wide_checkpoint, docs, batch_size=64)
+        # One row a batch is compared with the default and with 64 rows.
+        gap = min(
+            smallest_top2_gap(wide_checkpoint, docs, batch_size=n)
+            for n in (INFERENCE_BATCH_SIZE, 64)
+        )
         record_property("min_top2_logit_gap", gap)
         print(f"smallest top-2 logit gap over {len(docs)} documents: {gap:.3g}")
-        one, many = Dotter(wide_checkpoint, batch_size=1), Dotter(wide_checkpoint, batch_size=64)
+        one = Dotter(wide_checkpoint, batch_size=1)
+        many = Dotter(wide_checkpoint), Dotter(wide_checkpoint, batch_size=64)
         for doc in docs:
             a = one.label_documents([doc])[0].labels
-            b = many.label_documents([doc])[0].labels
-            for k in a:
-                assert np.array_equal(a[k], b[k]), (
-                    f"{doc.id} {k}: labels differ; smallest top-2 logit gap {gap:.3g}"
-                )
+            for dotter in many:
+                b = dotter.label_documents([doc])[0].labels
+                for k in a:
+                    assert np.array_equal(a[k], b[k]), (
+                        f"{doc.id} {k} at {dotter.batch_size} rows: labels differ; "
+                        f"smallest top-2 logit gap {gap:.3g}"
+                    )
 
     def test_packed_labels_match_per_document(
         self, wide_checkpoint, bundled_corpus_root, packing, record_property

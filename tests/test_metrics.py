@@ -3,9 +3,12 @@ import logging
 import numpy as np
 import pytest
 
-from hebdot.codec import DAGESH_CAPABLE, HEBREW_LETTERS, insert_marks
-from hebdot.corpus import CATEGORIES, SPLITS, Document, load_corpus
+from hebdot.codec import BKP_LETTERS, DAGESH_CAPABLE, HEBREW_LETTERS, insert_marks
+from hebdot.corpus import (
+    CATEGORIES, SPLITS, Document, decision_masks, letter_mask, load_corpus, token_spans
+)
 from hebdot.metrics import (
+    _VOWEL_CLASS,
     Counts,
     LetterStreamMismatch,
     evaluate,
@@ -165,6 +168,84 @@ class TestVocNeverBelowWor:
             for metric in ("dec", "cha", "wor", "voc"):
                 got = s.by_name(metric)
                 assert (got.correct, got.total) == want[metric], (name, metric)
+
+
+def per_document_scores(gold: Document, pred: Document) -> dict[str, tuple[int, int]]:
+    """The four metrics of one pair by the per-document formula that scored
+    each document on its own before scoring went to one pass: the oracle
+    for the per-document totals the pass takes from running sums."""
+    g, p = gold.labels, pred.labels
+    masks = decision_masks(gold.letters)
+    slots = sum(m.astype(np.intp) for m in masks.values())
+    wrong = sum((masks[k] & (g[k] != p[k])).astype(np.intp) for k in masks)
+    char_ok = wrong == 0
+    bkp = letter_mask(gold.letters, BKP_LETTERS)
+    same_sound = (
+        (~masks["niqqud"] | (_VOWEL_CLASS[g["niqqud"]] == _VOWEL_CLASS[p["niqqud"]]))
+        & (~masks["sin"] | (g["sin"] == p["sin"]))
+        & (~bkp | ((g["dagesh"] != 0) == (p["dagesh"] != 0)))
+    )
+    has = slots > 0
+    spans = token_spans(gold.letters)
+
+    def tokens_ok(ok):
+        bad_before = np.concatenate(([0], np.cumsum(~ok)))
+        bad = bad_before[spans[:, 1]] - bad_before[spans[:, 0]]
+        return int((bad == 0).sum()), len(spans)
+
+    return {
+        "dec": (int(slots.sum() - wrong.sum()), int(slots.sum())),
+        "cha": (int((has & char_ok).sum()), int(has.sum())),
+        "wor": tokens_ok(char_ok),
+        "voc": tokens_ok(same_sound),
+    }
+
+
+class TestOnePass:
+    """``evaluate`` scores all documents at once over their letters joined
+    by a space; each document's counts must be those it gets alone."""
+
+    # a geresh opens or closes a document, next to another's letters once
+    # joined; one letter alone; a document with no decisions in between
+    EDGES = ["א", "׳שלום", "צ׳", "ג׳ גדול", "שלום ג׳", "׳", "!?", "ב״ה", "צ׳ ׳צ"]
+
+    def pairs(self, rng, root):
+        docs = [doc_from_text(random_dotted(rng, t), doc_id=f"edge{i}")
+                for i, t in enumerate(self.EDGES)]
+        docs += [d for split in SPLITS for d in load_corpus(root, split)]
+        docs += [Document(f"again/{d.id}", d.letters, d.labels) for d in docs]
+        rng.shuffle(docs)
+        return docs, [relabelled(rng, d, rng.choice([0.05, 0.5, 1.0])) for d in docs]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_document_formula(self, bundled_corpus_root, seed):
+        golds, preds = self.pairs(np.random.default_rng(seed), bundled_corpus_root)
+        report = evaluate(golds, preds)
+        want = {g.id: per_document_scores(g, p) for g, p in zip(golds, preds)}
+        assert report.skipped == tuple(i for i, w in want.items() if w["dec"][1] == 0)
+        assert [s.doc_id for s in report.docs] == [
+            i for i, w in want.items() if w["dec"][1] > 0
+        ]
+        for s in report.docs:
+            for metric in ("dec", "cha", "wor", "voc"):
+                got = s.by_name(metric)
+                assert (got.correct, got.total) == want[s.doc_id][metric], (s.doc_id, metric)
+
+    def test_edges_match_oracle(self):
+        rng = np.random.default_rng(7)
+        for text in self.EDGES:
+            gold = doc_from_text(random_dotted(rng, text))
+            pred = doc_from_text(random_dotted(rng, text))
+            s = score_document(gold, pred)
+            for metric, want in oracle_scores(gold, pred).items():
+                got = s.by_name(metric)
+                assert (got.correct, got.total) == want, (text, metric)
+
+    def test_mismatch_names_its_document(self):
+        golds = [doc_from_text("אבג", doc_id="a"), doc_from_text("אבג", doc_id="b")]
+        preds = [golds[0], doc_from_text("אדג", doc_id="b")]
+        with pytest.raises(LetterStreamMismatch, match="b: .*position 1"):
+            evaluate(golds, preds)
 
 
 class TestEvaluate:

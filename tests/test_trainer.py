@@ -200,6 +200,8 @@ class TestPlan:
             TrainPlan(batch_size=0)
         with pytest.raises(ValueError):
             TrainPlan(modern_epochs=-1)
+        with pytest.raises(ValueError, match="no epochs"):
+            TrainPlan(premodern_epochs=0, modern_epochs=0)
         with pytest.raises(ValueError):
             TrainPlan(checkpoint_every=-1)
         with pytest.raises(ValueError, match="seed"):
