@@ -104,7 +104,7 @@ def _merge_settings(args: argparse.Namespace) -> tuple[ModelConfig | None, Train
     plan = TrainPlan(**kwargs[TrainPlan])
     config = None
     if kwargs[ModelConfig]:
-        config = ModelConfig(vocab_size=Vocabulary().size, **kwargs[ModelConfig])
+        config = ModelConfig(vocab_size=Vocabulary.size, **kwargs[ModelConfig])
     return config, plan
 
 
@@ -132,8 +132,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     try:
         src = _open_in(args.input)
         dst = _open_out(args.out, src, args.model)
-        for dotted in dotter.dot_stream(src, keep_existing=args.keep_existing):
-            dst.write(dotted)
+        for line in src:
+            dst.write(dotter.dot(line, keep_existing=args.keep_existing))
         dst.flush()
     finally:
         for stream in (src, dst):

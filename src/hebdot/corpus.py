@@ -133,14 +133,15 @@ def load_file(path: Path, doc_id: str) -> Document | None:
 
 
 def load_dir(directory: Path) -> list[Document]:
-    """Load every ``*.txt`` under a directory, sorted by relative path.
+    """Load every ``*.txt`` file under a directory, sorted by relative path;
+    a subdirectory whose name ends in ``.txt`` is searched like any other.
 
     Raises EmptyCorpus if the directory is missing or contributes nothing.
     """
     directory = Path(directory)
     docs: list[Document] = []
     if directory.is_dir():
-        for path in sorted(directory.rglob("*.txt")):
+        for path in sorted(p for p in directory.rglob("*.txt") if p.is_file()):
             doc_id = path.relative_to(directory).with_suffix("").as_posix()
             doc = load_file(path, doc_id=doc_id)
             if doc is None:
@@ -206,43 +207,27 @@ def chunk_spans(letters: str, max_len: int = MAX_CHUNK_LEN) -> list[tuple[int, i
 
 
 class Vocabulary:
-    """Fixed, closed character inventory for the encoder.
+    """The build's closed character inventory for the encoder: every
+    checkpoint header records it, and loading refuses a checkpoint that
+    records any other, as it does other decision letters.
 
     Index 0 is padding and index 1 the out-of-alphabet fallback; letter i of
-    ``alphabet``, the normalized alphabet in a deterministic order, has id
-    i + 2, read through a table indexed by code point.  The inventory never
-    depends on the training data, so checkpoints built anywhere agree.
+    ``alphabet`` has id i + 2, read through a table indexed by code point
+    and built once.  The inventory never depends on the training data.
     """
 
     PAD = 0
     UNK = 1
-
-    def __init__(self) -> None:
-        self._index(
-            " " + "".join(PUNCT_WHITELIST) + DIGIT_SYMBOL + LATIN_SYMBOL + HEBREW_LETTERS
-        )
-
-    def _index(self, alphabet: str) -> None:
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("duplicate characters in vocabulary")
-        self.alphabet = alphabet
-        self._ids = _id_table(alphabet)
-
-    @property
-    def size(self) -> int:
-        return len(self.alphabet) + 2
-
-    def encode(self, letters: str) -> np.ndarray:
-        return self._ids.take(_code_points(letters), mode="clip")
-
-    def to_json(self) -> dict:
-        return {"alphabet": self.alphabet}
+    alphabet = " " + "".join(PUNCT_WHITELIST) + DIGIT_SYMBOL + LATIN_SYMBOL + HEBREW_LETTERS
+    size = len(alphabet) + 2
 
     @classmethod
-    def from_json(cls, data: dict) -> "Vocabulary":
-        vocab = cls.__new__(cls)
-        vocab._index(data["alphabet"])
-        return vocab
+    def encode(cls, letters: str) -> np.ndarray:
+        return _IDS.take(_code_points(letters), mode="clip")
+
+    @classmethod
+    def to_json(cls) -> dict:
+        return {"alphabet": cls.alphabet}
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -250,16 +235,12 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
-@lru_cache(maxsize=16)
-def _id_table(alphabet: str) -> np.ndarray:
-    """Read-only vocabulary ids indexed by code point: letter i of
-    ``alphabet`` has id i + 2, and every other code point has UNK, the last
-    entry, one past the largest letter, standing for all larger ones."""
-    codes = _code_points(alphabet)
-    table = np.full(int(codes.max(initial=0)) + 2, Vocabulary.UNK, np.int32)
-    table[codes] = np.arange(2, len(alphabet) + 2, dtype=np.int32)
-    table.flags.writeable = False
-    return table
+# Vocabulary ids indexed by code point: every code point outside the
+# alphabet has UNK, the last entry, one past the largest letter, standing
+# for all larger ones.
+_IDS = np.full(ord(max(Vocabulary.alphabet)) + 2, Vocabulary.UNK, np.int32)
+_IDS[_code_points(Vocabulary.alphabet)] = np.arange(2, Vocabulary.size, dtype=np.int32)
+_IDS.flags.writeable = False
 
 
 @lru_cache(maxsize=16)
@@ -313,9 +294,7 @@ class Chunks:
         )
 
 
-def encode_document(
-    docs: Sequence[Document], vocab: Vocabulary, max_len: int = MAX_CHUNK_LEN
-) -> Chunks:
+def encode_document(docs: Sequence[Document], max_len: int = MAX_CHUNK_LEN) -> Chunks:
     """Chunk and encode documents into model inputs and training targets:
     their letters end to end, and the :func:`chunk_spans` windows of each
     document in order."""
@@ -335,7 +314,7 @@ def encode_document(
     kept = ends > starts
     empty = np.zeros(0, dtype=np.int8)  # np.concatenate refuses an empty list
     return Chunks(
-        ids=vocab.encode(letters),
+        ids=Vocabulary.encode(letters),
         golds={
             k: np.concatenate([empty, *(doc.labels[k] for doc in docs)])
             for k in CATEGORIES

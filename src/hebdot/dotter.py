@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import accumulate, pairwise
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .corpus import (
     CATEGORIES,
     Batch,
     Document,
-    Vocabulary,
     decision_masks,
     encode_document,
     make_batches,
@@ -73,7 +72,6 @@ class Dotter:
         self.layer0 = layer0_tables(checkpoint.params)
         self.fold = head_fold(checkpoint.params)
         self.config: ModelConfig = checkpoint.config
-        self.vocab: Vocabulary = checkpoint.vocab
         self.batch_size = batch_size
 
     @classmethod
@@ -91,7 +89,7 @@ class Dotter:
         land in one flat array per category over all the letters, split per
         document at the end; letters outside every chunk keep the null label.
         """
-        chunks = encode_document(docs, self.vocab)
+        chunks = encode_document(docs)
         chunks = chunks.take(np.argsort(chunks.lengths, kind="stable"))
         labels = np.zeros((len(CATEGORIES), len(chunks.ids)), dtype=np.int8)
         for batch in make_batches(chunks, self.batch_size, seed=None):
@@ -148,11 +146,3 @@ class Dotter:
                 for k in CATEGORIES
             }
         return insert_marks(stripped, ends, labels)
-
-    def dot_stream(
-        self, lines: Iterable[str], keep_existing: bool = False
-    ) -> Iterator[str]:
-        """Dot line by line, yielding each line as soon as it is done;
-        newlines pass through like any other non-mark."""
-        for line in lines:
-            yield self.dot(line, keep_existing=keep_existing)

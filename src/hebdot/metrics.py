@@ -47,9 +47,6 @@ class Counts:
     correct: int
     total: int
 
-    def __add__(self, other: "Counts") -> "Counts":
-        return Counts(self.correct + other.correct, self.total + other.total)
-
     @property
     def ratio(self) -> float:
         if self.total == 0:

@@ -850,13 +850,14 @@ _DECISION_LETTERS = {
     "dagesh_capable": "".join(sorted(DAGESH_CAPABLE)),
     "niqqud_capable": "".join(sorted(NIQQUD_CAPABLE)),
 }
+# what a header must record to load: this build's alphabet and decision letters
+_BUILD_INVENTORY = {"vocab": Vocabulary.to_json(), **_DECISION_LETTERS}
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     params: dict[str, np.ndarray]
     config: ModelConfig
-    vocab: Vocabulary
     meta: dict
 
 
@@ -891,11 +892,12 @@ def save_checkpoint(
     Layout: magic, u32 version, length-prefixed JSON header (config,
     vocabulary, the codec's decision letters, free-form metadata), then each
     array as a length-prefixed name, u32 rank, u32 dims and row-major float32
-    bytes.  All integers little-endian.  The decision letters are recorded
-    for :func:`load_checkpoint` to check against the codec's.  Arrays are
-    written in sorted name order so equal models produce identical bytes.  They are written straight to
-    ``<path>.tmp``, synced to disk, and then replace ``path`` whole, so a
-    crash mid-write leaves the previous checkpoint intact.
+    bytes.  All integers little-endian.  The alphabet and the decision
+    letters are recorded for :func:`load_checkpoint` to check against the
+    build's.  Arrays are written in sorted name order so equal models
+    produce identical bytes.  They are written straight to ``<path>.tmp``,
+    synced to disk, and then replace ``path`` whole, so a crash mid-write
+    leaves the previous checkpoint intact.
     """
     header = {
         "config": dataclasses.asdict(config),
@@ -938,9 +940,9 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     against the bytes left before it is read or allocated for.
     Raises VersionMismatch for a future format version and CorruptCheckpoint
     for anything that does not parse cleanly: a config value of the wrong
-    type, a ``residual`` setting other than false, decision letters other
-    than the codec's, or arrays whose names and shapes differ from
-    :func:`param_shapes` of the stored config or that are out of sorted
+    type, a ``residual`` setting other than false, an alphabet or decision
+    letters other than the build's, or arrays whose names and shapes differ
+    from :func:`param_shapes` of the stored config or that are out of sorted
     name order: each array's name, rank and dims are read as one byte
     string and compared with what :func:`save_checkpoint` writes for them.
     """
@@ -979,11 +981,12 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             if settings.pop("residual", False) is not False:
                 raise CorruptCheckpoint(f"{path}: residual models are no longer supported")
             config = ModelConfig(**settings)
-            vocab = Vocabulary.from_json(header["vocab"])
-            if vocab.size != config.vocab_size:
+            if any(header[k] != v for k, v in _BUILD_INVENTORY.items()):
+                raise CorruptCheckpoint(
+                    f"{path}: alphabet or decision letters differ from this build's"
+                )
+            if Vocabulary.size != config.vocab_size:
                 raise CorruptCheckpoint(f"{path}: vocabulary size != config.vocab_size")
-            if any(header[k] != v for k, v in _DECISION_LETTERS.items()):
-                raise CorruptCheckpoint(f"{path}: decision letters differ from this build's")
             # names and shapes only: a pass over the elements would cost more
             # than the load; non-finite weights surface as NonFiniteActivation
             expected = param_shapes(config)
@@ -1023,6 +1026,5 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         # no-op when little-endian
         params=param_views(config, flat.astype(np.float32, copy=False)),
         config=config,
-        vocab=vocab,
         meta=header.get("meta", {}),
     )

@@ -243,12 +243,11 @@ def train(
     """
     root = Path(root)
     out_path = Path(out_path)
-    vocab = Vocabulary()
     if config is None:
-        config = ModelConfig(vocab_size=vocab.size)
-    if config.vocab_size != vocab.size:
+        config = ModelConfig(vocab_size=Vocabulary.size)
+    if config.vocab_size != Vocabulary.size:
         raise ValueError(
-            f"config.vocab_size {config.vocab_size} != vocabulary size {vocab.size}"
+            f"config.vocab_size {config.vocab_size} != vocabulary size {Vocabulary.size}"
         )
     params = init_params(config, plan.seed)
     adam = AdamState.init(flat_of(params))
@@ -262,7 +261,7 @@ def train(
     # every phase encodes before the log opens, so a corpus that lacks a
     # needed split fails before it touches an earlier run's log
     phases = [
-        (phase_idx, split, epochs, encode_document(load_corpus(root, split), vocab))
+        (phase_idx, split, epochs, encode_document(load_corpus(root, split)))
         for phase_idx, (split, epochs) in enumerate(
             [("premodern", plan.premodern_epochs), ("modern", plan.modern_epochs)]
         )
@@ -277,7 +276,7 @@ def train(
             path,
             params,
             config,
-            vocab,
+            Vocabulary(),
             meta={"seed": plan.seed, "step": result.steps, **meta},
         )
 
@@ -334,7 +333,7 @@ def train(
                     )
                     raise
                 if val_docs is not None:
-                    score = validation_wor(params, config, vocab, val_docs)
+                    score = validation_wor(params, config, val_docs)
                     result.val_history.append((split, epoch, score))
                     log.info(
                         "phase %s epoch %d: validation WOR %.4f", split, epoch, score
@@ -353,17 +352,10 @@ def train(
 
 
 def validation_wor(
-    params: dict[str, np.ndarray],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    docs: list[Document],
-    batch_size: int = 64,
+    params: dict[str, np.ndarray], config: ModelConfig, docs: list[Document]
 ) -> float:
     """Macro word accuracy of the current parameters over held-out docs."""
-    dotter = Dotter(
-        Checkpoint(params=params, config=config, vocab=vocab, meta={}),
-        batch_size=batch_size,
-    )
+    dotter = Dotter(Checkpoint(params=params, config=config, meta={}))
     return evaluate(docs, dotter.label_documents(docs)).macro["wor"]
 
 
@@ -405,16 +397,15 @@ def overfit_probe(
     document with no decisions scores 0, and an epoch with no steps (a
     document with no letters) records a loss of 0.
     """
-    vocab = Vocabulary()
     config = ModelConfig(
-        vocab_size=vocab.size,
+        vocab_size=Vocabulary.size,
         embed_dim=embed_dim,
         hidden_dim=hidden_dim,
         dropout=dropout,
     )
     params = init_params(config, seed)
     adam = AdamState.init(flat_of(params))
-    chunks = encode_document([doc], vocab)
+    chunks = encode_document([doc])
     dec_history: list[float] = []
     loss_history: list[float] = []
     for epoch in range(max_epochs):
@@ -423,7 +414,7 @@ def overfit_probe(
         )
         losses = [loss for _, loss in steps]
         loss_history.append(float(np.mean(losses)) if losses else 0.0)
-        dotter = Dotter(Checkpoint(params, config, vocab, {}), batch_size)
+        dotter = Dotter(Checkpoint(params, config, {}))
         dec = score_document(doc, dotter.label_documents([doc])[0]).dec
         dec_history.append(dec.correct / dec.total if dec.total else 0.0)
         if dec_history[-1] >= target:

@@ -53,6 +53,10 @@ MALFORMED_HEADERS = {
     "alphabet_size": lambda h: h["vocab"].update(
         alphabet=h["vocab"]["alphabet"] + "Ω"
     ),
+    # the same letters, alef and bet swapped: every id but two still fits
+    "reordered_alphabet": lambda h: h["vocab"].update(
+        alphabet=h["vocab"]["alphabet"].translate(str.maketrans("אב", "בא"))
+    ),
     # config values of the wrong type, which the shapes alone would not catch
     "float_hidden_dim": lambda h: h["config"].update(hidden_dim=16.0),
     "string_residual": lambda h: h["config"].update(residual="no"),
@@ -377,14 +381,17 @@ class TestDot:
         assert "error:" in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
-    def test_malformed_header(self, capsys, random_checkpoint, tmp_path, case):
+    def test_malformed_header(
+        self, capsys, random_checkpoint, bundled_corpus_root, tmp_path, case
+    ):
         bad = tmp_path / "bad.nkdm"
         rewrite_header(random_checkpoint, bad, MALFORMED_HEADERS[case])
         src = tmp_path / "in.txt"
         src.write_text("שלום\n", encoding="utf-8")
-        code, _, err = run(capsys, "dot", "--model", str(bad), str(src))
-        assert code == 4
-        assert "error:" in err and "Traceback" not in err
+        for argv in (["dot", str(src)], ["eval", "--gold", str(bundled_corpus_root / "test")]):
+            code, out, err = run(capsys, *argv, "--model", str(bad))
+            assert (code, out) == (4, ""), argv
+            assert err.startswith("error:") and "Traceback" not in err, argv
 
     def test_header_with_residual_false_loads(self, capsys, random_checkpoint, tmp_path):
         # every checkpoint written while residual was a setting says false
@@ -427,7 +434,7 @@ class TestBadModels:
         params = {k: v.copy() for k, v in ckpt.params.items()}
         self.EDITS[request.param](params)
         path = tmp_path / "bad.nkdm"
-        save_checkpoint(path, params, ckpt.config, ckpt.vocab)
+        save_checkpoint(path, params, ckpt.config, Vocabulary())
         return path
 
     def test_dot(self, capsys, bad_model, tmp_path):
@@ -529,7 +536,7 @@ class TestDamagedCheckpointFuzz:
             else:  # the file still loads: dotting adds marks and nothing else
                 assert "".join(c for c in out if not "\u0591" <= c <= "\u05c7") == self.TEXT, case
             exits.append(code)
-        assert exits.count(4) > len(exits) // 2  # 97 of 104 at this seed
+        assert exits.count(4) > len(exits) // 2  # 103 of 104 at this seed
 
 
 # config lines: known keys (and a few unknown ones) with values of any type; text values
@@ -611,6 +618,17 @@ class TestEval:
         for line in lines[1:]:
             name, a, b = line.split("\t")
             assert a == b  # same checkpoint on both sides
+
+    def test_gold_subdirectory_named_like_a_text_file(
+        self, capsys, random_checkpoint, tmp_path
+    ):
+        (tmp_path / "batch.txt").mkdir()
+        (tmp_path / "batch.txt" / "tdoc0.txt").write_text("שָׁלוֹם", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "eval", "--model", str(random_checkpoint), "--gold", str(tmp_path)
+        )
+        assert (code, err) == (0, "")
+        assert stdout.splitlines()[1].startswith("batch.txt/tdoc0\t")
 
     def test_empty_gold_dir(self, capsys, random_checkpoint, tmp_path):
         code, _, err = run(

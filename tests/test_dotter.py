@@ -10,6 +10,7 @@ import pytest
 
 import hebdot
 from hebdot import corpus, dotter as dotter_module
+from hebdot.cli import main
 from hebdot.codec import Niqqud, parse, strip_diacritics
 from hebdot.corpus import (
     CATEGORIES,
@@ -172,14 +173,16 @@ class TestDocuments:
         assert out.letters == doc.letters
         assert strip_diacritics(out.text) == doc.letters
 
-    def test_dot_stream(self, random_dotter):
-        lines = ["שורה אחת", "שורה שתיים", "", "no hebrew", "קָטן\n"]
-        assert list(random_dotter.dot_stream(lines)) == [
-            random_dotter.dot(line) for line in lines
-        ]
-        assert list(random_dotter.dot_stream(lines, keep_existing=True)) == [
-            random_dotter.dot(line, keep_existing=True) for line in lines
-        ]
+    def test_dot_stream(self, random_dotter, random_checkpoint, tmp_path, capsys):
+        # ``hebdot dot`` dots its input one line at a time, newline included
+        lines = ["שורה אחת\n", "שורה שתיים\r\n", "\n", "no hebrew\n", "קָטן"]
+        src = tmp_path / "in.txt"
+        src.write_bytes("".join(lines).encode("utf-8"))
+        for keep in ([], ["--keep-existing"]):
+            assert main(["dot", "--model", str(random_checkpoint), str(src), *keep]) == 0
+            assert capsys.readouterr().out == "".join(
+                random_dotter.dot(line, keep_existing=bool(keep)) for line in lines
+            )
 
 
 def top2_gap(logits, masks):
@@ -278,14 +281,10 @@ class TestLabelDocuments:
 
 class TestPaperSize:
     def test_dotting_changes_only_diacritics(self, bundled_corpus_root):
-        vocab = Vocabulary()
         config = ModelConfig(
-            vocab_size=vocab.size, embed_dim=400, hidden_dim=400, num_layers=2
+            vocab_size=Vocabulary.size, embed_dim=400, hidden_dim=400, num_layers=2
         )
-        ckpt = Checkpoint(
-            params=init_params(config, seed=9), config=config, vocab=vocab, meta={}
-        )
-        dotter = Dotter(ckpt)
+        dotter = Dotter(Checkpoint(init_params(config, seed=9), config, {}))
         lines = [
             line
             for path in sorted(bundled_corpus_root.rglob("*.txt"))
@@ -302,18 +301,15 @@ class TestPaperSize:
 def wide_checkpoint():
     """Untrained model at hidden 128, where BLAS blocking makes a row's
     logits depend slightly on the batch around it."""
-    vocab = Vocabulary()
-    config = ModelConfig(vocab_size=vocab.size, embed_dim=128, hidden_dim=128)
-    return Checkpoint(
-        params=init_params(config, seed=4), config=config, vocab=vocab, meta={}
-    )
+    config = ModelConfig(vocab_size=Vocabulary.size, embed_dim=128, hidden_dim=128)
+    return Checkpoint(init_params(config, seed=4), config, {})
 
 
 def smallest_top2_gap(ckpt, docs, batch_size):
     """Smallest margin between the two best logits over every live decision."""
     gap = np.inf
     for doc in docs:
-        chunks = encode_document([doc], ckpt.vocab)
+        chunks = encode_document([doc])
         for batch in make_batches(chunks, batch_size, seed=None):
             logits, _ = forward(ckpt.params, ckpt.config, batch.letter_ids, batch.lengths)
             gap = min(gap, top2_gap(logits, batch.masks))
@@ -397,7 +393,8 @@ class TestBlasThreadCounts:
         # the same labelling in this process, for the smallest top-2 gap
         dotter = Dotter.load(model)
         dotter.label_documents(load_corpus(bundled_corpus_root, "test"))
-        list(dotter.dot_stream(text.read_text(encoding="utf-8").splitlines(True)))
+        for line in text.read_text(encoding="utf-8").splitlines(True):
+            dotter.dot(line)
         record_property("min_top2_logit_gap", packing.gap)
         assert outs[1][0] == outs[2][0], f"dot differs; smallest top-2 logit gap {packing.gap:.3g}"
         assert outs[1][1] == outs[2][1], f"eval differs; smallest top-2 logit gap {packing.gap:.3g}"

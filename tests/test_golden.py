@@ -14,9 +14,7 @@ learns from and must say so.
 import hashlib
 
 from hebdot.cli import main
-from hebdot.corpus import (
-    CATEGORIES, SPLITS, Vocabulary, encode_document, load_corpus, make_batches
-)
+from hebdot.corpus import CATEGORIES, SPLITS, encode_document, load_corpus, make_batches
 
 GOLDEN_DOCUMENTS = {
     "premodern/opening": ("7fcb57079801fb67a684dede4337c9bec74bcafb29daeb6a4e04490171f5af2c", "294851182bc6476df3677c9da2a22c25f7f242ddcc42c19844058c1ebf60767f"),
@@ -81,7 +79,7 @@ BATCHINGS = ((64, 0), (7, 5), (16, None))  # (batch_size, seed)
 
 
 def _split_chunks(root, split):
-    return encode_document(load_corpus(root, split), Vocabulary())
+    return encode_document(load_corpus(root, split))
 
 
 def _batch_digest(batches) -> str:

@@ -354,7 +354,7 @@ class TestForward:
             params[name][...] = rng.uniform(-1.0, 1.0, params[name].shape)
         ids, lengths, _, _ = make_synthetic_batch(config, batch=3, width=6, seed=4)
         want, _ = forward(params, config, ids, lengths, keep_cache=False)
-        dotter = Dotter(Checkpoint(params, config, Vocabulary(), {}))
+        dotter = Dotter(Checkpoint(params, config, {}))
         for name in ["proj_W", "proj_b", *heads]:
             params[name][...] = np.nan
         got, _ = forward(
@@ -458,9 +458,8 @@ class TestAgainstReference:
         self.assert_matches_reference(*self.make_model(dim, 12), ids, np.array([ids.shape[1]]))
 
     def test_sixteen_row_batches_match_reference(self, bundled_corpus_root):
-        vocab = Vocabulary()
         docs = [d for split in SPLITS for d in load_corpus(bundled_corpus_root, split)]
-        chunks = encode_document(docs, vocab)
+        chunks = encode_document(docs)
         chunks = chunks.take(np.argsort(chunks.lengths, kind="stable"))
         params, config = self.make_model(16, 12)
         for batch in make_batches(chunks, 16):
@@ -773,10 +772,10 @@ class TestCheckpoint:
             assert again.params[name].dtype == np.float32
             again.params[name][...] = 0.0  # writable, and apart from the other arrays
         assert again.config == config
-        assert again.vocab.alphabet == vocab.alphabet
         assert again.meta["step"] == 3
         (n,) = struct.unpack("<I", path.read_bytes()[8:12])
         header = json.loads(path.read_bytes()[12 : 12 + n])
+        assert header["vocab"] == {"alphabet": vocab.alphabet}
         assert header["dagesh_capable"] == "".join(sorted(DAGESH_CAPABLE))
         assert header["niqqud_capable"] == "".join(sorted(NIQQUD_CAPABLE))
 

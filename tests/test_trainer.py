@@ -230,9 +230,8 @@ class TestTrain:
         out = tmp_path / "model.nkdm"
         result = tiny_train(bundled_corpus_root, out)
 
-        vocab = Vocabulary()
-        chunks_pre = encode_document(load_corpus(bundled_corpus_root, "premodern"), vocab)
-        chunks_mod = encode_document(load_corpus(bundled_corpus_root, "modern"), vocab)
+        chunks_pre = encode_document(load_corpus(bundled_corpus_root, "premodern"))
+        chunks_mod = encode_document(load_corpus(bundled_corpus_root, "modern"))
         want_steps = -(-len(chunks_pre) // 32) - (-len(chunks_mod) // 32)
         assert result.steps == want_steps
         assert [e.step for e in result.history] == list(range(1, want_steps + 1))
@@ -306,7 +305,7 @@ class TestTrain:
             modern_epochs=2,
             batch_size=16,
         )
-        chunks = encode_document(load_corpus(bundled_corpus_root, "modern"), Vocabulary())
+        chunks = encode_document(load_corpus(bundled_corpus_root, "modern"))
         per_epoch = -(-len(chunks) // 16)
         plan = TrainPlan()
         sched = LRSchedule(plan.base_lr, plan.max_lr, step_size_up=per_epoch)
@@ -390,10 +389,9 @@ class TestPaperSize:
     def test_two_steps_bitwise_reproducible(self, bundled_corpus_root):
         # embed and hidden 400, two layers, dropout 0.1: two optimizer steps
         # on two batches of 4 bundled chunks of at most 24 letters, twice
-        vocab = Vocabulary()
-        config = ModelConfig(vocab_size=vocab.size, embed_dim=400, hidden_dim=400, dropout=0.1)
+        config = ModelConfig(vocab_size=Vocabulary.size, embed_dim=400, hidden_dim=400, dropout=0.1)
         doc = load_corpus(bundled_corpus_root, "modern")[0]
-        chunks = encode_document([doc], vocab, max_len=24).take(slice(8))
+        chunks = encode_document([doc], max_len=24).take(slice(8))
         batches = make_batches(chunks, batch_size=4, seed=1)
         assert [b.size for b in batches] == [4, 4]
         assert all(b.letter_ids.shape[1] <= 24 for b in batches)
